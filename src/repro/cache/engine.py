@@ -12,7 +12,7 @@ without changing a single miss.
 
 **Windowed batching.** Every level consumes its input stream in
 windows of about :data:`BATCH_TARGET` addresses. Chunks smaller than a
-window (tiled schedules emit dozens of tiny per-tile chunks) are
+window (a tile row's last, partial batch of tiles, for instance) are
 buffered and concatenated so the fixed per-call numpy cost is paid
 once per window; chunks larger than a window are *split*, because the
 counting partition's scatter is 4-6x faster when its working set stays

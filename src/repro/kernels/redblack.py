@@ -112,9 +112,9 @@ class RedBlack3D(StencilKernel):
                    c2: float = 1.0 / 12.0) -> None:
         """Figure 12 bottom schedule (bitwise == naive; see module doc).
 
-        Uses per-(tile, KK, K) pieces rather than the trace enumerator's
-        concatenated chunks because pieces of different colours in one
-        chunk would break the vectorized-update safety argument.
+        Updates single-colour pieces of the trace enumerator's chunks,
+        because a chunk mixes colours and a mixed batch would break the
+        vectorized-update safety argument.
         """
         for i, j, k in _tiled_pieces(self.n, ti, tj, self.nk):
             _update_points(a, i, j, k, c1, c2)
@@ -140,32 +140,13 @@ class RedBlack3D(StencilKernel):
 def _tiled_pieces(n: int, ti: int, tj: int, nk: int) -> Iterator:
     """Single-colour pieces of the tiled schedule, in execution order.
 
-    Same iteration order as ``enumerators.redblack_tiled`` but yielding
-    one piece per (JJ, II, KK, K) so numeric updates stay single-colour.
+    Splits every ``enumerators.redblack_tiled`` chunk wherever the
+    colour changes. A piece may span K planes and tiles; its points are
+    still never neighbours of one another, so one vectorized update of
+    the piece matches the sequential loop (see :func:`_update_points`).
     """
-    js_all = {}
-    for jj in range(1, n, tj):
-        for ii in range(1, n, ti):
-            for kk in range(1, nk):
-                for d in (1, 0):
-                    k = kk + d
-                    if not (2 <= k <= nk - 1):
-                        continue
-                    jlo = max(jj + d, 2)
-                    jhi = min(jj + d + tj - 1, n - 1)
-                    ihi = min(ii + d + ti - 1, n - 1)
-                    base = ii + d
-                    if jlo > jhi or base > ihi:
-                        continue
-                    key = (jlo, jhi)
-                    js = js_all.get(key)
-                    if js is None:
-                        js = js_all[key] = np.arange(jlo, jhi + 1,
-                                                     dtype=np.int64)
-                    istart = base + (kk + js + base + 1) % 2
-                    istart = np.where(istart == 1, 3, istart)
-                    from repro.trace.enumerators import _parity_rows
-
-                    i, j = _parity_rows(n, istart.astype(np.int64), js, ihi)
-                    if i.size:
-                        yield i, j, np.full(i.size, k, dtype=np.int64)
+    for i, j, k in en.redblack_tiled(n, ti, tj, nk):
+        colour = (i + j + k) & 1
+        cuts = np.flatnonzero(colour[1:] != colour[:-1]) + 1
+        yield from zip(np.split(i, cuts), np.split(j, cuts),
+                       np.split(k, cuts))

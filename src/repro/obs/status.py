@@ -25,6 +25,7 @@ persistence layer.
 from __future__ import annotations
 
 import json
+import math
 import pathlib
 import sys
 import time
@@ -62,7 +63,7 @@ class StatusPublisher:
         self._extra: dict = {}
         self._rate: float | None = None
         self._last_point = time.monotonic()
-        self._last_publish = 0.0
+        self._last_publish = -math.inf
 
     @classmethod
     def for_run(cls, ctx, *, total: int | None = None,

@@ -5,12 +5,17 @@ arrays — one chunk of iterations in exact program order. Coordinates are
 1-based like the paper's Fortran codes; loop bodies run over the
 interior ``2..N-1``.
 
-Chunking strategy: chunks follow natural schedule boundaries (a K-plane
-for untiled sweeps, a (JJ, II) tile slab for tiled ones) so that chunks
-remain large enough to amortize numpy call overhead. Natural boundaries
-alone do **not** bound memory — a tiled slab spans every K plane and an
-untiled plane grows as N^2 — so consumers that need O(chunk) peak
-memory re-slice through :func:`bounded_chunks` (the address generator,
+Chunking strategy: chunks follow natural schedule boundaries so that
+they stay large enough to amortize numpy call overhead. An untiled
+sweep yields one K-plane per chunk. A tiled one yields consecutive
+tiles of one tile row together, built in one vectorized step, while
+the batch stays within :data:`TILE_BATCH_ITERATIONS`; a tile at or
+above that size is one chunk by itself. Small tiles (Euc3D's 1x1
+fallback holds NK - 2 iterations) would otherwise cost every consumer
+one chunk's fixed overhead per tile. Natural boundaries alone do
+**not** bound memory — a large tile spans every K plane and an untiled
+plane grows as N^2 — so consumers that need O(chunk) peak memory
+re-slice through :func:`bounded_chunks` (the address generator,
 :func:`repro.trace.generator.trace_chunks`, does this by default).
 """
 
@@ -34,6 +39,12 @@ __all__ = [
 ]
 
 Chunk = tuple[np.ndarray, np.ndarray, np.ndarray]
+
+#: Iterations up to which consecutive tiles of one tile row share a
+#: chunk: enough that a 1x1-tile sweep yields O(N) chunks instead of
+#: O(N^2), few enough that a batch's address matrix stays under 1 MB
+#: even for RESID's 29 references.
+TILE_BATCH_ITERATIONS = 4096
 
 
 def bounded_chunks(chunks: Iterable[Chunk],
@@ -88,8 +99,35 @@ def _tile_ranges(n: int, start: int, t: int) -> Iterator[tuple[int, int]]:
         yield lo, min(lo + t - 1, n - 1)
 
 
+def _tile_row(n: int, ti: int, ks: np.ndarray, js: np.ndarray
+              ) -> Iterator[Chunk]:
+    """One row of ``ti``-wide tiles (II loop; K, J, I inner), batched.
+
+    Every tile adds its I offset to one full-width (K, J, I) template;
+    an edge tile drops the I values past ``n - 1``. Consecutive tiles
+    are yielded together up to :data:`TILE_BATCH_ITERATIONS`.
+    """
+    ti = min(ti, n - 2)                 # no template wider than the row
+    k, j, i = (a.ravel() for a in np.meshgrid(
+        ks, js, np.arange(ti, dtype=np.int64), indexing="ij"))
+    ilos = np.arange(2, n, ti, dtype=np.int64)
+    per = max(1, TILE_BATCH_ITERATIONS // i.size)
+    for s in range(0, ilos.size, per):
+        lo = ilos[s:s + per]
+        ib = (lo[:, None] + i).ravel()
+        jb, kb = np.tile(j, lo.size), np.tile(k, lo.size)
+        if lo[-1] + ti > n:             # the batch ends with the edge tile
+            keep = ib < n
+            ib, jb, kb = ib[keep], jb[keep], kb[keep]
+        yield ib, jb, kb
+
+
 def tiled_3d(n: int, ti: int, tj: int, nk: int | None = None) -> Iterator[Chunk]:
-    """Figure 6 order: JJ, II outer; K, J, I inner. One chunk per tile."""
+    """Figure 6 order: JJ, II outer; K, J, I inner.
+
+    Tiles of one JJ row are batched into chunks of up to
+    :data:`TILE_BATCH_ITERATIONS` iterations (see :func:`_tile_row`).
+    """
     nk = n if nk is None else nk
     if n < 3 or nk < 3:
         raise TraceError(f"need N, NK >= 3, got {n}, {nk}")
@@ -98,10 +136,7 @@ def tiled_3d(n: int, ti: int, tj: int, nk: int | None = None) -> Iterator[Chunk]
     ks = np.arange(2, nk, dtype=np.int64)
     for jlo, jhi in _tile_ranges(n, 2, tj):
         js = np.arange(jlo, jhi + 1, dtype=np.int64)
-        for ilo, ihi in _tile_ranges(n, 2, ti):
-            is_ = np.arange(ilo, ihi + 1, dtype=np.int64)
-            k, j, i = np.meshgrid(ks, js, is_, indexing="ij")
-            yield i.ravel(), j.ravel(), k.ravel()
+        yield from _tile_row(n, ti, ks, js)
 
 
 def tiled_3loop(n: int, ti: int, tj: int, tk: int,
@@ -114,34 +149,27 @@ def tiled_3loop(n: int, ti: int, tj: int, tk: int,
         ks = np.arange(klo, khi + 1, dtype=np.int64)
         for jlo, jhi in _tile_ranges(n, 2, tj):
             js = np.arange(jlo, jhi + 1, dtype=np.int64)
-            for ilo, ihi in _tile_ranges(n, 2, ti):
-                is_ = np.arange(ilo, ihi + 1, dtype=np.int64)
-                k, j, i = np.meshgrid(ks, js, is_, indexing="ij")
-                yield i.ravel(), j.ravel(), k.ravel()
+            yield from _tile_row(n, ti, ks, js)
 
 
 # ----------------------------------------------------------------------
 # red-black SOR schedules (Figure 12)
 # ----------------------------------------------------------------------
 
-def _parity_rows(n: int, istart_per_j: np.ndarray,
-                 js: np.ndarray, ihi: int) -> tuple[np.ndarray, np.ndarray]:
-    """Rows of stride-2 I values with per-J start, preserving J order.
+def _parity_rows(starts: np.ndarray, stops, *cols: np.ndarray
+                 ) -> tuple[np.ndarray, ...]:
+    """Expand stride-2 I rows ``starts[r], starts[r] + 2, .. <= stops[r]``.
 
-    ``istart_per_j[r]`` is the first I of row ``js[r]``; every row ends
-    at ``ihi``. Returns flat (I, J) in (J outer, I inner) order.
+    ``stops`` is per row or one scalar for all; each of ``cols`` holds
+    one value per row (its J, K, ...). Returns ``(I, *cols)`` flat, in
+    row order with I inner; empty rows vanish.
     """
-    counts = (ihi - istart_per_j) // 2 + 1
+    counts = (stops - starts) // 2 + 1
     np.clip(counts, 0, None, out=counts)
-    total = int(counts.sum())
-    if total == 0:
-        empty = np.empty(0, dtype=np.int64)
-        return empty, empty
-    js_flat = np.repeat(js, counts)
-    starts_flat = np.repeat(istart_per_j, counts)
-    cum = np.concatenate([np.zeros(1, dtype=np.int64), np.cumsum(counts)])
-    t = np.arange(total, dtype=np.int64) - np.repeat(cum[:-1], counts)
-    return starts_flat + 2 * t, js_flat
+    t = np.arange(int(counts.sum()), dtype=np.int64)
+    t -= np.repeat(np.cumsum(counts) - counts, counts)
+    return (np.repeat(starts, counts) + 2 * t,
+            *(np.repeat(c, counts) for c in cols))
 
 
 def redblack_naive(n: int, nk: int | None = None) -> Iterator[Chunk]:
@@ -156,7 +184,7 @@ def redblack_naive(n: int, nk: int | None = None) -> Iterator[Chunk]:
     for odd in (0, 1):
         for k in range(2, nk):
             istart = 2 + (k + js + odd) % 2
-            i, j = _parity_rows(n, istart, js, n - 1)
+            i, j = _parity_rows(istart, n - 1, js)
             yield i, j, np.full(i.size, k, dtype=np.int64)
 
 
@@ -175,7 +203,7 @@ def redblack_fused(n: int, nk: int | None = None) -> Iterator[Chunk]:
         for k in (kk + 1, kk):
             if not (2 <= k <= nk - 1):
                 continue
-            i, j = _parity_rows(n, istart, js, n - 1)
+            i, j = _parity_rows(istart, n - 1, js)
             yield i, j, np.full(i.size, k, dtype=np.int64)
 
 
@@ -190,11 +218,12 @@ def redblack_tiled(n: int, ti: int, tj: int,
     (bumped 1 -> 3 to stay interior), stepping by 2 up to
     ``min(II+d+TI-1, N-1)``.
 
-    Within a tile, all chunks for the KK sweep are concatenated into a
-    single yield — iteration counts per (KK, K) piece are tiny and the
-    per-chunk overhead would otherwise dominate simulation time. Because
-    the (J, I) pattern for a given ``d = K - KK`` depends only on the
-    parity of KK, the four templates are precomputed and stitched per KK.
+    A tile's iterations are stride-2 I rows, one per (KK, d, J) in
+    execution order. The rows of consecutive tiles of one JJ row are
+    expanded together by :func:`_parity_rows` and yielded as one chunk
+    while an upper bound on the batch's iterations stays within
+    :data:`TILE_BATCH_ITERATIONS`; a tile whose bound reaches it is
+    yielded alone, and empty tiles yield nothing.
     """
     nk = n if nk is None else nk
     if n < 3 or nk < 3:
@@ -202,41 +231,26 @@ def redblack_tiled(n: int, ti: int, tj: int,
     if ti < 1 or tj < 1:
         raise TraceError(f"tile sizes must be positive: ({ti}, {tj})")
 
+    # (KK, d) of one tile's planes K = KK + d, in execution order.
+    kks, ds = np.array([(kk, d) for kk in range(1, nk) for d in (1, 0)
+                        if 2 <= kk + d <= nk - 1], dtype=np.int64).T
+    iis = np.arange(1, n, ti, dtype=np.int64)
     for jj in range(1, n, tj):
-        for ii in range(1, n, ti):
-            # templates[(d, kk_parity)] = (I, J) arrays
-            templates: dict[tuple[int, int], tuple[np.ndarray, np.ndarray]] = {}
-            for d in (1, 0):
-                jlo = max(jj + d, 2)
-                jhi = min(jj + d + tj - 1, n - 1)
-                ihi = min(ii + d + ti - 1, n - 1)
-                base = ii + d
-                if jlo > jhi or base > ihi:
-                    empty = np.empty(0, dtype=np.int64)
-                    templates[(d, 0)] = templates[(d, 1)] = (empty, empty)
-                    continue
-                js = np.arange(jlo, jhi + 1, dtype=np.int64)
-                for par in (0, 1):
-                    istart = base + (par + js + base + 1) % 2
-                    istart = np.where(istart == 1, 3, istart)
-                    i, j = _parity_rows(n, istart.astype(np.int64), js, ihi)
-                    templates[(d, par)] = (i, j)
-
-            pieces_i: list[np.ndarray] = []
-            pieces_j: list[np.ndarray] = []
-            pieces_k: list[np.ndarray] = []
-            for kk in range(1, nk):
-                par = kk % 2
-                for d in (1, 0):
-                    k = kk + d
-                    if not (2 <= k <= nk - 1):
-                        continue
-                    i, j = templates[(d, par)]
-                    if i.size == 0:
-                        continue
-                    pieces_i.append(i)
-                    pieces_j.append(j)
-                    pieces_k.append(np.full(i.size, k, dtype=np.int64))
-            if pieces_i:
-                yield (np.concatenate(pieces_i), np.concatenate(pieces_j),
-                       np.concatenate(pieces_k))
+        js = [np.arange(max(jj + d, 2), min(jj + d + tj - 1, n - 1) + 1,
+                        dtype=np.int64) for d in (0, 1)]
+        # One row per (KK, d, J); the parity term less its II part.
+        rj = np.concatenate([js[d] for d in ds.tolist()])
+        sizes = np.where(ds == 1, js[1].size, js[0].size)
+        rkk, rd = np.repeat(kks, sizes), np.repeat(ds, sizes)
+        rk, par = rkk + rd, rkk + rj + 1
+        per = max(1, TILE_BATCH_ITERATIONS // (rj.size * ((ti + 1) // 2)))
+        for s in range(0, iis.size, per):
+            base = iis[s:s + per, None] + rd        # IStart = II + d
+            start = base + (par + base) % 2
+            start[start == 1] = 3
+            stop = np.minimum(base + ti - 1, n - 1)
+            b = base.shape[0]
+            i, j, k = _parity_rows(start.ravel(), stop.ravel(),
+                                   np.tile(rj, b), np.tile(rk, b))
+            if i.size:
+                yield i, j, k

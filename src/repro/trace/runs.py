@@ -42,10 +42,13 @@ MIN_RUN_LENGTH = 4
 
 #: Minimum represented addresses for a chunk to be emitted as runs.
 #: Compressing a chunk costs a fixed handful of Python-level numpy
-#: calls here *and* again in every consumer window; for the tiny
-#: per-tile chunks of small tiled points that fixed cost outweighs the
-#: vector work it saves (measured break-even is a few thousand
-#: addresses), so small chunks stay flat — same stream, cheaper.
+#: calls here *and* again in every consumer window; for small chunks
+#: (a tiled schedule's batches of small tiles hold at most
+#: :data:`~repro.trace.enumerators.TILE_BATCH_ITERATIONS` iterations,
+#: under this bound for the 7-reference JACOBI) that fixed cost
+#: outweighs the vector work it saves (measured break-even is a few
+#: thousand addresses), so small chunks stay flat — same stream,
+#: cheaper.
 MIN_CHUNK_ADDRESSES = 1 << 15
 
 

@@ -31,27 +31,32 @@ def scalar_untiled(n, nk):
             for i in range(2, n)]
 
 
-def scalar_tiled(n, ti, tj, nk):
-    out = []
+def scalar_tiled_tiles(n, ti, tj, nk):
+    """Per-tile point lists, each keyed by its tile row."""
+    tiles = []
     for jj in range(2, n, tj):
         for ii in range(2, n, ti):
+            out = []
             for k in range(2, nk):
                 for j in range(jj, min(jj + tj - 1, n - 1) + 1):
                     for i in range(ii, min(ii + ti - 1, n - 1) + 1):
                         out.append((i, j, k))
-    return out
+            tiles.append((jj, out))
+    return tiles
 
 
-def scalar_tiled3(n, ti, tj, tk, nk):
-    out = []
+def scalar_tiled3_tiles(n, ti, tj, tk, nk):
+    tiles = []
     for kk in range(2, nk, tk):
         for jj in range(2, n, tj):
             for ii in range(2, n, ti):
+                out = []
                 for k in range(kk, min(kk + tk - 1, nk - 1) + 1):
                     for j in range(jj, min(jj + tj - 1, n - 1) + 1):
                         for i in range(ii, min(ii + ti - 1, n - 1) + 1):
                             out.append((i, j, k))
-    return out
+                tiles.append(((kk, jj), out))
+    return tiles
 
 
 def scalar_rb_naive(n, nk):
@@ -76,10 +81,11 @@ def scalar_rb_fused(n, nk):
     return out
 
 
-def scalar_rb_tiled(n, ti, tj, nk):
-    out = []
+def scalar_rb_tiled_tiles(n, ti, tj, nk):
+    tiles = []
     for jj in range(1, n, tj):
         for ii in range(1, n, ti):
+            out = []
             for kk in range(1, nk):
                 for k in (kk + 1, kk):
                     if not (2 <= k <= nk - 1):
@@ -94,7 +100,52 @@ def scalar_rb_tiled(n, ti, tj, nk):
                                        min(ii + k - kk + ti - 1, n - 1) + 1,
                                        2):
                             out.append((i, j, k))
-    return out
+            tiles.append((jj, out))
+    return tiles
+
+
+# ---------------------------------------------------------------------------
+# tile batching: chunks must cut only between whole tiles
+# ---------------------------------------------------------------------------
+
+def chunk_tiles(chunks, tiles):
+    """Tile indices per chunk; fails unless chunks cut only between tiles.
+
+    Empty tiles have no iterations and belong to no chunk.
+    """
+    tiles = [t for t in tiles if t[1]]
+    groups, t = [], 0
+    for i, j, k in chunks:
+        points = list(zip(i.tolist(), j.tolist(), k.tolist()))
+        group = []
+        while points:
+            size = len(tiles[t][1])
+            assert points[:size] == tiles[t][1]
+            points = points[size:]
+            group.append(t)
+            t += 1
+        groups.append(group)
+    assert t == len(tiles)
+    return groups, tiles
+
+
+def assert_batched(chunks, tiles, limit):
+    """Multi-tile chunks stay within ``limit`` iterations and one tile
+    row; a tile of at least ``limit`` iterations is a chunk alone."""
+    groups, tiles = chunk_tiles(chunks, tiles)
+    for group in groups:
+        assert group                    # no empty chunk
+        if len(group) > 1:
+            assert sum(len(tiles[t][1]) for t in group) <= limit
+            assert len({tiles[t][0] for t in group}) == 1
+    alone = {g[0] for g in groups if len(g) == 1}
+    assert all(t in alone for t, (_, points) in enumerate(tiles)
+               if len(points) >= limit)
+
+
+#: The real constant, every tile alone, and a size that cuts tile rows
+#: mid-row and next to their edge tiles.
+BATCHES = [en.TILE_BATCH_ITERATIONS, 1, 37]
 
 
 # ---------------------------------------------------------------------------
@@ -105,19 +156,26 @@ class TestAgainstScalar:
     def test_untiled(self, n, nk):
         assert flatten(en.untiled_3d(n, nk)) == scalar_untiled(n, nk)
 
+    @pytest.mark.parametrize("batch", BATCHES)
     @given(n=st.integers(3, 14), nk=st.integers(3, 9),
            ti=st.integers(1, 6), tj=st.integers(1, 6))
     @settings(max_examples=30, deadline=None)
-    def test_tiled(self, n, nk, ti, tj):
-        assert (flatten(en.tiled_3d(n, ti, tj, nk)) ==
-                scalar_tiled(n, ti, tj, nk))
+    def test_tiled(self, batch, n, nk, ti, tj):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(en, "TILE_BATCH_ITERATIONS", batch)
+            chunks = list(en.tiled_3d(n, ti, tj, nk))
+        assert_batched(chunks, scalar_tiled_tiles(n, ti, tj, nk), batch)
 
+    @pytest.mark.parametrize("batch", BATCHES)
     @given(n=st.integers(3, 12), nk=st.integers(3, 9),
            ti=st.integers(1, 5), tj=st.integers(1, 5), tk=st.integers(1, 4))
     @settings(max_examples=30, deadline=None)
-    def test_tiled3(self, n, nk, ti, tj, tk):
-        assert (flatten(en.tiled_3loop(n, ti, tj, tk, nk)) ==
-                scalar_tiled3(n, ti, tj, tk, nk))
+    def test_tiled3(self, batch, n, nk, ti, tj, tk):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(en, "TILE_BATCH_ITERATIONS", batch)
+            chunks = list(en.tiled_3loop(n, ti, tj, tk, nk))
+        assert_batched(chunks, scalar_tiled3_tiles(n, ti, tj, tk, nk),
+                       batch)
 
     @given(n=st.integers(3, 14), nk=st.integers(3, 10))
     @settings(max_examples=20, deadline=None)
@@ -129,12 +187,36 @@ class TestAgainstScalar:
     def test_rb_fused(self, n, nk):
         assert flatten(en.redblack_fused(n, nk)) == scalar_rb_fused(n, nk)
 
+    @pytest.mark.parametrize("batch", BATCHES)
     @given(n=st.integers(3, 13), nk=st.integers(3, 9),
            ti=st.integers(1, 6), tj=st.integers(1, 6))
     @settings(max_examples=40, deadline=None)
-    def test_rb_tiled(self, n, nk, ti, tj):
-        assert (flatten(en.redblack_tiled(n, ti, tj, nk)) ==
-                scalar_rb_tiled(n, ti, tj, nk))
+    def test_rb_tiled(self, batch, n, nk, ti, tj):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(en, "TILE_BATCH_ITERATIONS", batch)
+            chunks = list(en.redblack_tiled(n, ti, tj, nk))
+        assert_batched(chunks, scalar_rb_tiled_tiles(n, ti, tj, nk), batch)
+
+
+class TestTileBatching:
+    """Tiled schedules yield consecutive tiles of a row as one chunk."""
+
+    @pytest.mark.parametrize("enum", [en.tiled_3d, en.redblack_tiled])
+    def test_unit_tiles_yield_o_n_chunks(self, enum):
+        """1x1 tiles (Euc3D's fallback) give about one chunk per tile
+        row at N = 64, not one per tile (over 3800 of them)."""
+        assert sum(1 for _ in enum(64, 1, 1, 30)) <= 2 * 64
+
+    @pytest.mark.parametrize("enum, scalar", [
+        (en.tiled_3d, scalar_tiled_tiles),
+        (en.redblack_tiled, scalar_rb_tiled_tiles)])
+    def test_large_tiles_are_chunks_alone(self, enum, scalar):
+        """At the real constant, the regular 20x20 tiles of N = 64, NK =
+        30 (over 5000 iterations each) stay one chunk per tile."""
+        limit = en.TILE_BATCH_ITERATIONS
+        tiles = scalar(64, 20, 20, 30)
+        assert sum(len(points) >= limit for _, points in tiles) >= 9
+        assert_batched(list(enum(64, 20, 20, 30)), tiles, limit)
 
 
 class TestCoverage:
