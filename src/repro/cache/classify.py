@@ -36,7 +36,8 @@ a window and classifiers must observe them in program order. It is
 likewise incompatible with K-plane extrapolation
 (:mod:`repro.experiments.extrapolate`) — skipped planes are never
 simulated, so their misses cannot be classified; the runner gives
-``--metrics`` precedence and disables extrapolation for such points.
+extrapolation precedence and attaches no classifiers to points that
+request it, so such points record no ``repro.sim.miss_class``.
 """
 
 from __future__ import annotations

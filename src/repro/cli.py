@@ -12,8 +12,6 @@ Exposes the library's main entry points without writing any Python:
     python -m repro mgrid [--level 7]
     python -m repro section1
     python -m repro cache info --point-cache DIR
-    python -m repro serve --socket /tmp/advisor.sock --point-cache DIR
-    python -m repro ask --socket /tmp/advisor.sock --n 300 [--n 400]
     python -m repro fsck PATH [--repair]
     python -m repro bench compare OLD.json NEW.json
     python -m repro bench trend BENCH_DIR [--gate PCT]
@@ -44,25 +42,15 @@ a ``--run-dir`` ledger or one of its run directories) record by record
 and exits nonzero on damage — ``--repair`` quarantines the damaged
 records so the artifact is clean again.
 
-Advisor service: ``repro serve`` runs the long-lived tile advisor —
-queries are answered from the point store when warm, from a bounded
-background exact simulation when it fits the per-query deadline, and
-from the paper's analytic model (marked degraded, with a reason)
-otherwise; identical in-flight queries coalesce, overload sheds with a
-typed retry-after, and a circuit breaker rides out a crashing backend.
-``repro ask --socket PATH --n N`` queries it. SIGINT/SIGTERM drain the
-server gracefully (exit 0); with ``--run-dir`` the serve session is
-ledgered and its ``status.json`` doubles as the live health snapshot
-for ``repro watch``. Sweeps carrying a
-checkpoint or point cache drain gracefully on SIGINT/SIGTERM: in-flight
-points finish and journal, the command exits 130, and re-running
-resumes from the journal. ``--chunk-size N`` bounds the addresses materialized per
-trace chunk (0 = unbounded; results are bit-for-bit identical either
-way). ``--extrapolate`` enables exact steady-state K-plane
-extrapolation: untiled points stop simulating once their per-plane
-statistics provably repeat (shift-equivalent cache tags) and the rest
-is costed in closed form — identical miss counts, flagged per point;
-ineligible points fall back to full simulation.
+Sweeps carrying a checkpoint or point cache drain gracefully on
+SIGINT/SIGTERM: in-flight points finish and journal, the command exits
+130, and re-running resumes from the journal. ``--chunk-size N`` bounds
+the addresses materialized per trace chunk (0 = unbounded; results are
+bit-for-bit identical either way). ``--extrapolate`` enables exact
+steady-state K-plane extrapolation: untiled points stop simulating once
+their per-plane statistics provably repeat (shift-equivalent cache
+tags) and the rest is costed in closed form — identical miss counts,
+flagged per point; ineligible points fall back to full simulation.
 
 Observability (every command, flags go after the subcommand name):
 ``--log-json PATH`` records the run's structured event timeline as
@@ -183,9 +171,10 @@ def build_parser() -> argparse.ArgumentParser:
                              "extrapolate the rest in closed form "
                              "(identical results, recorded per point; "
                              "points where the check never fires are "
-                             "simulated in full; incompatible with "
-                             "--metrics' miss classifiers, which then "
-                             "win)")
+                             "simulated in full; with --metrics, "
+                             "extrapolation still runs and the "
+                             "cold/conflict/capacity miss "
+                             "classification is skipped)")
         sp.add_argument("--trace-form", choices=["auto", "runs", "flat"],
                         default="auto",
                         help="trace representation fed to the simulator "
@@ -315,62 +304,6 @@ def build_parser() -> argparse.ArgumentParser:
                          "clear: remove every cached point")
     sp.add_argument("--point-cache", metavar="DIR", required=True,
                     help="the store directory to operate on")
-
-    sp = sub.add_parser("serve",
-                        help="run the tile-advisor service (JSONL over "
-                             "a unix socket or stdio)",
-                        parents=[obsopts])
-    sp.add_argument("--socket", metavar="PATH",
-                    help="unix socket to listen on (JSONL protocol; "
-                         "query it with `repro ask --socket PATH`)")
-    sp.add_argument("--stdio", action="store_true",
-                    help="serve one JSONL conversation over "
-                         "stdin/stdout instead of a socket")
-    sp.add_argument("--deadline", type=float, default=2.0,
-                    metavar="SECONDS",
-                    help="default per-query answer deadline; a query "
-                         "whose exact simulation misses it degrades "
-                         "to the analytic model (default 2s)")
-    sp.add_argument("--queue-limit", type=int, default=16, metavar="N",
-                    help="max distinct cold points in flight; beyond "
-                         "this, queries are shed with a typed "
-                         "'overloaded' rejection (default 16)")
-    sp.add_argument("--sim-workers", type=int, default=2, metavar="N",
-                    help="supervised simulation worker processes "
-                         "(default 2)")
-    sp.add_argument("--point-timeout", type=float, metavar="SECONDS",
-                    help="hard per-simulation wall clock; the worker "
-                         "is SIGKILLed on expiry and the attempt "
-                         "counts as a backend failure")
-    sp.add_argument("--budget", type=float, metavar="SECONDS",
-                    help="per-point wall-clock budget inside the "
-                         "worker; over-budget points degrade to the "
-                         "analytic model worker-side")
-    add_perf(sp)
-
-    sp = sub.add_parser("ask",
-                        help="query a running tile-advisor service",
-                        parents=[logopts])
-    sp.add_argument("--socket", metavar="PATH", required=True,
-                    help="the serve socket to query")
-    sp.add_argument("--kernel", default="JACOBI",
-                    choices=["JACOBI", "REDBLACK", "RESID", "PSINV"])
-    sp.add_argument("--strategy", default="GcdPad")
-    sp.add_argument("--n", type=int, action="append", metavar="N",
-                    help="problem size(s) to ask about (repeatable; "
-                         "one query per size, pipelined on one "
-                         "connection)")
-    sp.add_argument("--deadline", type=float, metavar="SECONDS",
-                    help="per-query deadline to request (server "
-                         "default applies when omitted)")
-    sp.add_argument("--timeout", type=float, default=30.0,
-                    metavar="SECONDS",
-                    help="client-side response timeout (default 30s)")
-    sp.add_argument("--status", action="store_true",
-                    help="also fetch the service health snapshot")
-    sp.add_argument("--json", action="store_true",
-                    help="print raw JSONL responses instead of "
-                         "human-readable lines")
 
     sp = sub.add_parser("fsck",
                         help="verify/repair a checkpoint journal, "
@@ -533,38 +466,6 @@ def _validate(args) -> None:
             if args.gate <= 0:
                 raise ConfigurationError(
                     f"--gate must be a positive percentage, got {args.gate}")
-    if args.command == "serve":
-        if bool(args.socket) == bool(args.stdio):
-            raise ConfigurationError(
-                "serve needs exactly one transport: --socket PATH "
-                "or --stdio")
-        if args.deadline <= 0:
-            raise ConfigurationError(
-                f"--deadline must be positive seconds, "
-                f"got {args.deadline}")
-        if args.queue_limit < 1:
-            raise ConfigurationError(
-                f"--queue-limit must be >= 1, got {args.queue_limit}")
-        if args.sim_workers < 1:
-            raise ConfigurationError(
-                f"--sim-workers must be >= 1, got {args.sim_workers}")
-    if args.command == "ask":
-        if not args.n and not args.status:
-            raise ConfigurationError(
-                "ask needs at least one --n N query (or --status)")
-        if args.deadline is not None and args.deadline <= 0:
-            raise ConfigurationError(
-                f"--deadline must be positive seconds, "
-                f"got {args.deadline}")
-        if args.timeout <= 0:
-            raise ConfigurationError(
-                f"--timeout must be positive seconds, got {args.timeout}")
-        from repro.core.selector import STRATEGIES
-
-        if args.strategy not in STRATEGIES:
-            raise ConfigurationError(
-                f"unknown strategy {args.strategy!r}; "
-                f"valid: {', '.join(sorted(STRATEGIES))}")
     if args.command == "runs":
         if args.keep < 0:
             raise ConfigurationError(
@@ -652,12 +553,6 @@ def _run(argv: Sequence[str] | None = None) -> int:
         return watch(resolve_run(args.run), interval=args.interval,
                      once=args.once, timeout=args.timeout)
 
-    if args.command == "ask":
-        from repro.obs import setup_cli_logging
-
-        setup_cli_logging(args.verbose, args.quiet)
-        return _ask(args)
-
     from repro import obs
 
     full_argv = list(argv if argv is not None else sys.argv[1:])
@@ -676,39 +571,6 @@ def _run(argv: Sequence[str] | None = None) -> int:
             if value:
                 ses.artifacts[name] = str(value)
         return _dispatch(args)
-
-
-def _ask(args) -> int:
-    """``repro ask``: query a running advisor over its unix socket.
-
-    Exit 0 when every query got an ok answer (any provenance tier —
-    a degraded analytic answer is still an answer), 1 when any query
-    came back as a typed error (e.g. ``overloaded``); connection
-    failures raise :class:`~repro.errors.ServiceError` (exit 2).
-    """
-    import json as _json
-
-    from repro.service import client as svc_client
-    from repro.service.api import AdvisorQuery
-
-    payloads = []
-    for i, n in enumerate(args.n or []):
-        q = AdvisorQuery(kernel=args.kernel, n=n, strategy=args.strategy,
-                         deadline_s=args.deadline, qid=i)
-        payloads.append(q.to_payload())
-    if args.status:
-        payloads.append({"v": 1, "op": "status", "id": "status"})
-    responses = svc_client.request(args.socket, payloads,
-                                   timeout=args.timeout)
-    failed = 0
-    for resp in responses:
-        if args.json:
-            print(_json.dumps(resp, sort_keys=True))
-        else:
-            print(svc_client.format_response(resp))
-        if not resp.get("ok"):
-            failed += 1
-    return 1 if failed else 0
 
 
 def _runs(args) -> int:
@@ -875,27 +737,6 @@ def _dispatch(args) -> int:
                 f"change with real regressions; pass --force to compare "
                 f"anyway")
         print(format_compare(cmp))
-
-    elif args.command == "serve":
-        from repro.experiments.runner import open_store
-        from repro.obs import context as obs_context
-        from repro.obs.status import StatusPublisher
-        from repro.service.server import serve
-
-        budget = None
-        if args.budget:
-            from repro.resilience import PointBudget
-
-            budget = PointBudget(wall_seconds=args.budget)
-        status = StatusPublisher.for_run(obs_context.current())
-        return serve(socket_path=args.socket or None, stdio=args.stdio,
-                     store=open_store(args.point_cache or None),
-                     deadline_s=args.deadline,
-                     queue_limit=args.queue_limit,
-                     workers=args.sim_workers,
-                     point_timeout=args.point_timeout, budget=budget,
-                     chunk_size=args.chunk_size,
-                     extrapolate=args.extrapolate, status=status)
 
     elif args.command == "fsck":
         from repro.resilience.fsck import fsck_path

@@ -113,20 +113,3 @@ class PoolError(ExperimentError):
 
 class ConvergenceError(ReproError):
     """An iterative solver failed to reach its convergence target."""
-
-
-class ServiceError(ReproError):
-    """The tile-advisor service was misconfigured or cannot serve
-    (bad socket path, a second server on the same socket, a protocol
-    violation on a connection)."""
-
-
-class OverloadedError(ServiceError):
-    """The advisor's bounded admission queue is full: the query was
-    *shed*, not enqueued. Carries ``retry_after_s`` — an estimate of
-    when a slot will free up — so clients can back off instead of
-    hammering an overloaded backend."""
-
-    def __init__(self, message: str, *, retry_after_s: float = 1.0):
-        super().__init__(message)
-        self.retry_after_s = retry_after_s

@@ -36,12 +36,11 @@ from dataclasses import dataclass, replace
 from repro.cache.params import CacheParams
 from repro.errors import ConfigurationError
 from repro.experiments.config import ExperimentConfig
-from repro.experiments.options import PointPolicy, SweepOptions
+from repro.experiments.options import SweepOptions
 from repro.experiments.report import format_table, provenance_note
 from repro.experiments.runner import PointResult, open_store, run_point
 from repro.obs import events
 from repro.resilience.atomic import atomic_write_text
-from repro.resilience.budget import PointBudget
 
 __all__ = ["LatticeData", "run_lattice", "format_lattice",
            "lattice_to_csv", "write_lattice_csv",
@@ -113,21 +112,17 @@ def run_lattice(kernel: str, n: int,
     every cell replaces the L1 with its lattice geometry via
     ``dataclasses.replace``, so fingerprints — and therefore point-store
     entries — are per-geometry. ``options`` carries the execution
-    choices that make sense per-cell (store, budget, chunk size,
-    extrapolation); ``checkpoint`` is ignored (see module docstring).
+    choices that make sense per-cell (store, budget or point timeout,
+    chunk size, extrapolation, trace form), projected through
+    :meth:`SweepOptions.point_policy` exactly as a serial sweep's are;
+    ``checkpoint`` is ignored (see module docstring).
     """
     cfg = cfg or ExperimentConfig()
     options = options or SweepOptions()
     if options.checkpoint is not None:
         log.warning("lattice sweeps span one fingerprint per geometry; "
                     "ignoring --checkpoint %s", options.checkpoint)
-    budget = options.budget
-    if options.point_timeout is not None and budget is None:
-        budget = PointBudget(wall_seconds=options.point_timeout)
-    store = open_store(options.point_cache)
-    policy = PointPolicy(budget=budget, store=store,
-                         chunk_size=options.chunk_size,
-                         extrapolate=options.extrapolate)
+    policy = options.point_policy(store=open_store(options.point_cache))
     cells: dict[tuple[str, int, int], PointResult] = {}
     with events.span("lattice", kernel=kernel, n=n,
                      cells=len(strategies) * len(assocs) * len(line_sizes)):

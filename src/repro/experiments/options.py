@@ -114,9 +114,15 @@ class SweepOptions:
         """The per-point policy this sweep implies (serial path).
 
         ``journal``/``store`` are the *opened* resources resolved from
-        :attr:`checkpoint`/:attr:`point_cache` by the runner.
+        :attr:`checkpoint`/:attr:`point_cache` by the runner. Serially
+        there is no supervisor to SIGKILL an over-time point, so without
+        a ``budget`` the ``point_timeout`` becomes an in-process wall
+        budget.
         """
-        return PointPolicy(budget=self.budget, journal=journal,
+        budget = self.budget
+        if budget is None and self.point_timeout is not None:
+            budget = PointBudget(wall_seconds=self.point_timeout)
+        return PointPolicy(budget=budget, journal=journal,
                            store=store, chunk_size=self.chunk_size,
                            extrapolate=self.extrapolate,
                            trace_form=self.trace_form)

@@ -196,8 +196,8 @@ def _simulate_exact(kernel_name: str, strategy: str, n: int,
     (:mod:`repro.experiments.extrapolate`): identical statistics, but
     planes proven shift-equivalent are costed in closed form instead of
     simulated. Extrapolation disables the shadow miss classifiers
-    (skipped planes could not be classified), so ``--metrics`` points
-    keep full simulation even when both are requested.
+    (skipped planes could not be classified): when both are requested,
+    the point extrapolates and records no 3C miss classification.
 
     ``trace_form`` selects the trace representation (statistics are
     bit-for-bit identical across forms): ``"auto"`` resolves to the
@@ -636,19 +636,13 @@ def run_point(kernel: str, strategy: str, n: int,
 def _pool_point_task(args) -> dict:
     """Worker-side pool entry: compute one point, return its payload.
 
-    Runs in a child process (crash/OOM/hang isolation); must stay a
+    ``args`` are :func:`_compute_point`'s positional arguments. Runs in
+    a child process (crash/OOM/hang isolation); must stay a
     module-level function so ``spawn`` platforms can pickle it. The
     supervisor round-trips the payload through :func:`_check_payload`
     before trusting it.
     """
-    # Producers predating trace_form (e.g. the advisor backend) send
-    # 7-tuples; the representation defaults to "auto" for them.
-    (kernel, strategy, n, cfg, budget, chunk_size, extrapolate,
-     *rest) = args
-    trace_form = rest[0] if rest else "auto"
-    return _point_to_payload(
-        _compute_point(kernel, strategy, n, cfg, budget, chunk_size,
-                       extrapolate, trace_form))
+    return _point_to_payload(_compute_point(*args))
 
 
 def _sweep_parallel(kernel: str, strategies: list[str], sizes: list[int],
@@ -739,7 +733,7 @@ def _sweep_parallel(kernel: str, strategies: list[str], sizes: list[int],
         outcomes = run_supervised(_pool_point_task, tasks, policy,
                                   validate=_check_payload, fallback=fallback,
                                   on_result=on_result, drain=drain,
-                                  span_name="point", observer=status)
+                                  observer=status)
         skipped = sum(1 for o in outcomes if o.skipped)
         if skipped:
             raise SweepInterrupted(
@@ -823,15 +817,7 @@ def sweep(kernel: str, strategies: list[str], sizes: list[int],
                 if status is not None:
                     status.finish()
                 return out
-            budget = options.budget
-            if options.point_timeout is not None and budget is None:
-                # Serial degradation of --point-timeout: no supervisor to
-                # SIGKILL, so enforce it as an in-process wall budget.
-                budget = PointBudget(wall_seconds=options.point_timeout)
-            policy = PointPolicy(budget=budget, journal=journal, store=store,
-                                 chunk_size=options.chunk_size,
-                                 extrapolate=options.extrapolate,
-                                 trace_form=options.trace_form)
+            policy = options.point_policy(journal, store)
             results: dict[str, list[PointResult]] = {}
             completed = 0
             remaining = len(strategies) * len(sizes)

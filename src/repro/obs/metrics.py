@@ -55,21 +55,6 @@ name                                   type        labels
 ``repro.cache.extrapolation``          counter     ``outcome`` in fired|
                                                    fallback; ``reason``
 ``repro.cache.extrapolation_planes_skipped``  counter  —
-``repro.service.queries``              counter     ``tier`` in exact|
-                                                   extrapolated|analytic;
-                                                   ``source`` in store|
-                                                   simulated|analytic
-``repro.service.latency_seconds``      histogram   ``tier``
-``repro.service.queue_depth``          gauge       —
-``repro.service.shed``                 counter     —
-``repro.service.coalesced``            counter     —
-``repro.service.breaker_state``        gauge       0 closed, 1 half-open,
-                                                   2 open
-``repro.service.breaker``              counter     ``to`` in open|
-                                                   half_open|closed
-``repro.service.backend_quarantined``  counter     —
-``repro.service.store_write_failures`` counter     —
-``repro.service.batch_points``         histogram   —
 =====================================  ==========  =========================
 
 Per-level ``cold + conflict + capacity`` miss counts sum exactly to

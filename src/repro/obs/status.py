@@ -44,13 +44,11 @@ _EWMA_ALPHA = 0.15
 class StatusPublisher:
     """Single-writer live progress for one sweep."""
 
-    def __init__(self, path=None, *, total: int | None = None,
+    def __init__(self, path=None, *, total: int,
                  run_id: str | None = None,
                  kernel: str | None = None, progress: bool = False,
                  interval: float = 0.5):
         self.path = pathlib.Path(path) if path else None
-        #: ``None`` for open-ended publishers (the advisor service):
-        #: progress renders as ``done/?`` and no ETA is computed.
         self.total = total
         self.run_id = run_id
         self.kernel = kernel
@@ -60,13 +58,12 @@ class StatusPublisher:
         self.degraded = 0
         self.quarantined = 0
         self._workers: list[dict] = []
-        self._extra: dict = {}
         self._rate: float | None = None
         self._last_point = time.monotonic()
         self._last_publish = -math.inf
 
     @classmethod
-    def for_run(cls, ctx, *, total: int | None = None,
+    def for_run(cls, ctx, *, total: int,
                 kernel: str | None = None) -> "StatusPublisher | None":
         """A publisher for the active run context, or ``None``.
 
@@ -103,15 +100,6 @@ class StatusPublisher:
         self._workers = running
         self.publish()
 
-    def update_extra(self, **fields) -> None:
-        """Merge extra top-level fields into every future snapshot.
-
-        The advisor service publishes its health block this way
-        (``service: {queue_depth, breaker, tiers, ...}``); readers that
-        don't know a field ignore it.
-        """
-        self._extra.update(fields)
-
     def finish(self) -> None:
         """Flush the final counts (outcome is sealed by the ledger)."""
         self._workers = []
@@ -119,7 +107,7 @@ class StatusPublisher:
 
     # ------------------------------------------------------------------
     def snapshot(self) -> dict:
-        body = {
+        return {
             "v": 1,
             "run_id": self.run_id,
             "kernel": self.kernel,
@@ -130,13 +118,10 @@ class StatusPublisher:
             "quarantined": self.quarantined,
             "points_per_s": round(self._rate, 3) if self._rate else None,
             "eta_s": (round((self.total - self.done) / self._rate, 1)
-                      if self._rate and self.total is not None
-                      and self.done < self.total else None),
+                      if self._rate and self.done < self.total else None),
             "workers": self._workers,
             "outcome": "running",
         }
-        body.update(self._extra)
-        return body
 
     def publish(self, force: bool = False) -> None:
         now = time.monotonic()

@@ -1,8 +1,7 @@
 """Advisory cross-process file locking for shared durable state.
 
-Multiple sweeps — and, per the ROADMAP, the future tile-advisor
-service — share one :class:`~repro.perf.store.PointStore` and may
-resume one checkpoint journal. Their mutations must not interleave:
+Concurrent sweeps share one :class:`~repro.perf.store.PointStore` and
+may resume one checkpoint journal. Their mutations must not interleave:
 two processes each rewriting a journal from their in-memory view would
 silently drop each other's records, and two concurrent LRU evictions
 can thrash a store. :class:`FileLock` serializes those critical

@@ -235,7 +235,6 @@ def run_supervised(fn: Callable[[Any], dict],
                    on_result: Callable[[tuple, dict, bool], None] | None = None,
                    fault_plan: dict[int, faults.WorkerFault] | None = None,
                    drain: DrainState | None = None,
-                   span_name: str = "task",
                    observer=None,
                    ) -> list[TaskOutcome]:
     """Execute keyed tasks in supervised child processes.
@@ -259,7 +258,7 @@ def run_supervised(fn: Callable[[Any], dict],
     and everything still pending is marked ``skipped`` — resumable,
     not failed.
 
-    Each task gets one supervised ``span_name`` span on the event bus,
+    Each task gets one supervised ``point`` span on the event bus,
     opened at first launch and closed at its terminal state (outcome
     ok/quarantined/skipped, total attempts) — retries live inside it.
     When the active run context has a shard directory, every launch
@@ -321,7 +320,7 @@ def run_supervised(fn: Callable[[Any], dict],
         if fault is not None and p.attempts > 0 and not fault.every_attempt:
             fault = None  # first-attempt faults let the retry succeed
         if p.span is None:
-            p.span = bus.open_span(span_name, key=list(p.key),
+            p.span = bus.open_span("point", key=list(p.key),
                                    supervised=True)
         spec = obs_context.worker_spec(
             parent_span_id=p.span, label=f"t{p.index}a{p.attempts + 1}")

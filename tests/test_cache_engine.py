@@ -24,6 +24,7 @@ from repro.cache import (
     counting_available,
     partition,
 )
+from repro.obs import metrics
 
 # Geometry zoo: name -> level params. Small caches so random streams
 # actually collide; each exercises a distinct engine mode.
@@ -154,6 +155,19 @@ def test_engine_matches_legacy_access_loop(geometry):
     assert_same_stats(engine_stats, legacy_hier.stats())
 
 
+def assert_partitioned_with(reg, strategy):
+    """Every partition in ``reg`` used the forced ``strategy``.
+
+    Without scipy a forced ``"counting"`` falls back to argsort, so it
+    is only checked where :func:`counting_available` holds.
+    """
+    if strategy == "counting" and not counting_available():
+        return
+    other = "argsort" if strategy == "counting" else "counting"
+    assert reg.counter_total("repro.cache.partition", strategy=strategy) > 0
+    assert reg.counter_total("repro.cache.partition", strategy=other) == 0
+
+
 @pytest.mark.parametrize("geometry", ["paper_mixed_lines",
                                       "equal_lines_shared",
                                       "set_count_boundary"])
@@ -166,8 +180,10 @@ def test_partition_strategies_give_identical_stats(geometry):
     by_strategy = {}
     for strategy in ("counting", "argsort"):
         hier = CacheHierarchy(list(params))
-        by_strategy[strategy] = hier.run(
-            iter([(stream, None)]), partition_strategy=strategy)
+        with metrics.collect() as reg:
+            by_strategy[strategy] = hier.run(
+                iter([(stream, None)]), partition_strategy=strategy)
+        assert_partitioned_with(reg, strategy)
     assert_same_stats(by_strategy["counting"], by_strategy["argsort"])
 
 
@@ -180,7 +196,9 @@ def test_partition_permutation_identical_to_stable_argsort():
         expect_bp = np.r_[0, np.cumsum(np.bincount(keys,
                                                    minlength=num_keys))]
         for strategy in ("counting", "argsort"):
-            order, bp = partition(keys, num_keys, strategy)
+            with metrics.collect() as reg:
+                order, bp = partition(keys, num_keys, strategy)
+            assert_partitioned_with(reg, strategy)
             np.testing.assert_array_equal(order, expect_order)
             np.testing.assert_array_equal(bp, expect_bp)
 

@@ -139,3 +139,36 @@ class TestOptions:
         assert any("ignoring --checkpoint" in r.getMessage()
                    for r in records)
         assert not (tmp_path / "ck.jsonl").exists()
+
+    def _captured_policies(self, monkeypatch, cfg, options):
+        import repro.experiments.lattice as lattice_mod
+
+        seen = []
+        real = lattice_mod.run_point
+
+        def spy(*args, policy=None, **kwargs):
+            seen.append(policy)
+            return real(*args, policy=policy, **kwargs)
+
+        monkeypatch.setattr(lattice_mod, "run_point", spy)
+        run_lattice("JACOBI", 32, strategies=("Orig",), assocs=(1,),
+                    line_sizes=(32,), cfg=cfg, options=options)
+        assert seen
+        return seen
+
+    def test_trace_form_and_point_timeout_reach_run_point(
+            self, monkeypatch, tiny_config_module):
+        from repro.experiments.options import SweepOptions
+        from repro.resilience import PointBudget
+
+        for pol in self._captured_policies(
+                monkeypatch, tiny_config_module,
+                SweepOptions(trace_form="flat", point_timeout=30.0)):
+            assert pol.trace_form == "flat"
+            assert pol.budget == PointBudget(wall_seconds=30.0)
+
+    def test_default_options_keep_the_memoized_path(self, monkeypatch,
+                                                    tiny_config_module):
+        for pol in self._captured_policies(monkeypatch,
+                                           tiny_config_module, None):
+            assert pol.plain

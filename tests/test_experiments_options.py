@@ -54,6 +54,14 @@ class TestSweepOptions:
         pol = opts.point_policy(journal="J", store="S")
         assert pol == PointPolicy(budget=opts.budget, journal="J",
                                   store="S", chunk_size=64)
+        # Serially, point_timeout becomes a wall budget — unless an
+        # explicit budget already bounds the point.
+        pol = SweepOptions(point_timeout=2.5).point_policy()
+        assert pol == PointPolicy(budget=PointBudget(wall_seconds=2.5))
+        pol = SweepOptions(budget=PointBudget(max_refs=10),
+                           point_timeout=2.5).point_policy()
+        assert pol.budget == PointBudget(max_refs=10)
+        assert SweepOptions().point_policy().plain
 
     def test_point_policy_carries_extrapolate(self):
         assert SweepOptions(extrapolate=True).point_policy().extrapolate

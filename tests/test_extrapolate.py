@@ -24,8 +24,14 @@ from repro.experiments.extrapolate import (
     simulate_extrapolated,
 )
 from repro.experiments.options import PointPolicy, SweepOptions
-from repro.experiments.runner import _schedule_for, run_point, sweep
+from repro.experiments.runner import (
+    _schedule_for,
+    clear_cache,
+    run_point,
+    sweep,
+)
 from repro.kernels import KERNELS
+from repro.obs import metrics
 from repro.perfmodel.machine import ULTRASPARC2_360
 
 CFG = ExperimentConfig(l1=CacheParams(2048, 32, 1, "L1"),
@@ -182,3 +188,23 @@ def test_sweep_option_marks_points():
     for strat in ("Orig", "GcdPad"):
         assert pts[strat][0].l1_misses == baseline[strat][0].l1_misses
         assert pts[strat][0].l2_misses == baseline[strat][0].l2_misses
+
+
+def test_metrics_keep_extrapolation_and_skip_classification():
+    """Under ``--metrics`` an extrapolating point still extrapolates;
+    only the 3C miss classification is skipped. Without extrapolation
+    the same point is classified."""
+    with metrics.collect() as reg:
+        fast = run_point("JACOBI", "Orig", 64, CFG,
+                         policy=PointPolicy(extrapolate=True))
+    assert fast.extrapolated
+    assert reg.counter_total("repro.sim.misses") > 0
+    assert reg.counter_total("repro.sim.miss_class") == 0
+
+    clear_cache()  # a memo hit would simulate (and classify) nothing
+    with metrics.collect() as reg:
+        full = run_point("JACOBI", "Orig", 64, CFG)
+    assert not full.extrapolated
+    assert (full.l1_misses, full.l2_misses) == \
+        (fast.l1_misses, fast.l2_misses)
+    assert reg.counter_total("repro.sim.miss_class") > 0
