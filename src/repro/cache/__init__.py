@@ -31,11 +31,11 @@ provides that simulator:
 """
 
 from repro.cache.params import CacheParams, ULTRASPARC2_L1, ULTRASPARC2_L2
-from repro.cache.base import CacheStats
+from repro.cache.base import BATCH_TARGET, CacheStats
 from repro.cache.assoc_scan import AssocScanCache
 from repro.cache.classify import MISS_CLASSES, MissClassifier
 from repro.cache.direct_mapped import DirectMappedCache
-from repro.cache.engine import BATCH_TARGET, HierarchyEngine
+from repro.cache.engine import HierarchyEngine
 from repro.cache.factory import build_simulator
 from repro.cache.partition import counting_available, default_strategy, partition
 from repro.cache.set_assoc import SetAssociativeCache

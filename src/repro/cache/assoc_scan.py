@@ -57,16 +57,10 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.cache.base import CacheStats
+from repro.cache.base import CacheLevel, CacheStats
 from repro.cache.params import CacheParams
-from repro.cache.partition import counting_available, partition
 
 __all__ = ["AssocScanCache"]
-
-#: Addresses per internally simulated window for direct ``access()``
-#: calls: bounds the scratch arrays (a few MB at this size) while
-#: amortizing the per-window partition and ghost-replay costs.
-_WINDOW = 1 << 16
 
 
 def _seg_prefix_leq(vals: np.ndarray, rel: np.ndarray, seg: np.ndarray,
@@ -116,7 +110,7 @@ def _seg_prefix_leq(vals: np.ndarray, rel: np.ndarray, seg: np.ndarray,
     return C
 
 
-class AssocScanCache:
+class AssocScanCache(CacheLevel):
     """Streaming exact-LRU set-associative simulator (vectorized).
 
     Parameters
@@ -126,18 +120,14 @@ class AssocScanCache:
         fully associative cache, e.g. a TLB).
     """
 
+    #: The scan replays each occupied set's carried stack as ghost
+    #: accesses every window, so its fixed cost (up to ``num_sets *
+    #: assoc`` ghosts) wants more amortization than the other levels'
+    #: scatter does; the scratch arrays stay a few MB at this size.
+    window = 1 << 16
+
     def __init__(self, params: CacheParams):
-        self.params = params
-        self._line_shift = int(params.line_bytes).bit_length() - 1
-        self._set_mask = params.num_sets - 1
-        if counting_available() and params.num_sets <= (1 << 31):
-            self._set_dtype = np.int32
-        elif params.num_sets <= (1 << 15):
-            self._set_dtype = np.int16
-        else:
-            self._set_dtype = np.int32
-        self._set_mask_narrow = self._set_dtype(params.num_sets - 1)
-        self.stats = CacheStats()
+        super().__init__(params)
         # Per-set LRU stack: row ``s`` holds its resident lines in
         # columns [assoc - depth[s], assoc), LRU first, MRU last;
         # unused columns are -1 (no byte address maps to a negative
@@ -158,28 +148,10 @@ class AssocScanCache:
         self._depth.fill(0)
 
     # ------------------------------------------------------------------
-    def set_index(self, lines: np.ndarray) -> np.ndarray:
-        """Set indices for line ids, in the partition-friendly dtype.
-
-        Same narrow-then-mask trick as the direct-mapped simulator: the
-        truncating downcast preserves the low ``log2(num_sets)`` bits
-        the mask keeps, avoiding a full-width int64 temporary.
-        """
-        sets = lines.astype(self._set_dtype)
-        np.bitwise_and(sets, self._set_mask_narrow, out=sets)
-        return sets
-
     def access_grouped(self, l_sorted: np.ndarray,
                        bp: np.ndarray) -> tuple[np.ndarray, int]:
-        """Simulate a set-partitioned line stream against carried state.
-
-        Same contract as
-        :meth:`repro.cache.direct_mapped.DirectMappedCache.access_grouped`:
-        ``l_sorted`` holds line ids grouped by set index (program order
-        within each group), ``bp`` the partition boundaries; returns
-        ``(miss_sorted, n_miss)`` in the partitioned order and updates
-        the per-set LRU stacks. The caller owns statistics.
-        """
+        """Simulate a set-partitioned line stream against the carried
+        LRU stacks (see :meth:`CacheLevel.access_grouped`)."""
         n = l_sorted.size
         if n == 0:
             return np.zeros(0, dtype=bool), 0
@@ -269,31 +241,6 @@ class AssocScanCache:
             core[last_pos[keep]]
         self._depth[occ] = np.minimum(counts, A)
         return miss_sorted, int(np.count_nonzero(miss_sorted))
-
-    def access(self, byte_addrs: np.ndarray) -> np.ndarray:
-        """Simulate a chunk of accesses; return the boolean miss mask."""
-        byte_addrs = np.asarray(byte_addrs, dtype=np.int64)
-        n = byte_addrs.size
-        out = np.empty(n, dtype=bool)
-        if n == 0:
-            return out
-        fully_assoc = self.params.num_sets == 1
-        for s in range(0, n, _WINDOW):
-            window = byte_addrs[s:s + _WINDOW]
-            lines = window >> self._line_shift
-            if fully_assoc:
-                # One set: the stream is already "partitioned".
-                bp = np.array([0, lines.size], dtype=np.int64)
-                miss_sorted, _ = self.access_grouped(lines, bp)
-                out[s:s + _WINDOW] = miss_sorted
-            else:
-                order, bp = partition(self.set_index(lines),
-                                      self.params.num_sets)
-                miss_sorted, _ = self.access_grouped(lines[order], bp)
-                out[s:s + _WINDOW][order] = miss_sorted
-        self.stats.accesses += n
-        self.stats.misses += int(np.count_nonzero(out))
-        return out
 
     # ------------------------------------------------------------------
     def contains(self, byte_addr: int) -> bool:

@@ -27,17 +27,20 @@ LRU does not vectorize the way direct-mapped simulation does), so
 classification is opt-in — the experiment runner attaches classifiers
 only when metrics collection is enabled (``--metrics``).
 
-Attaching a classifier has a second cost beyond the Python loop: it
-forces :meth:`CacheHierarchy.run
-<repro.cache.hierarchy.CacheHierarchy.run>` onto the legacy per-chunk
-path (``repro.cache.engine_runs{mode=legacy}``) because the batched
-:class:`~repro.cache.engine.HierarchyEngine` reorders accesses within
-a window and classifiers must observe them in program order. It is
-likewise incompatible with K-plane extrapolation
-(:mod:`repro.experiments.extrapolate`) — skipped planes are never
-simulated, so their misses cannot be classified; the runner gives
-extrapolation precedence and attaches no classifiers to points that
-request it, so such points record no ``repro.sim.miss_class``.
+Classifiers ride the same engine as every other run:
+:class:`~repro.cache.engine.HierarchyEngine` hands each level's
+classifier every window of that level's input in stream order with
+its program-order miss mask, and the classification is split-invariant,
+so the counts equal those of the per-chunk
+:meth:`CacheHierarchy.access <repro.cache.hierarchy.CacheHierarchy.access>`
+loop. The one engine path a classifier changes is the closed-form run
+path at L1, which builds no per-access mask: a classified L1
+materializes its run windows. Classification is incompatible with
+K-plane extrapolation (:mod:`repro.experiments.extrapolate`) — skipped
+planes are never simulated, so their misses cannot be classified; the
+runner gives extrapolation precedence and attaches no classifiers to
+points that request it, so such points record no
+``repro.sim.miss_class``.
 """
 
 from __future__ import annotations

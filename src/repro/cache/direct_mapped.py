@@ -26,15 +26,14 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.cache.base import CacheStats
+from repro.cache.base import CacheLevel, CacheStats
 from repro.cache.params import CacheParams
-from repro.cache.partition import counting_available, partition
 from repro.errors import CacheGeometryError
 
 __all__ = ["DirectMappedCache"]
 
 
-class DirectMappedCache:
+class DirectMappedCache(CacheLevel):
     """Streaming direct-mapped cache simulator (vectorized).
 
     Parameters
@@ -47,26 +46,7 @@ class DirectMappedCache:
         if not params.is_direct_mapped:
             raise CacheGeometryError(
                 f"DirectMappedCache requires assoc=1, got {params.assoc}")
-        self.params = params
-        self._line_shift = int(params.line_bytes).bit_length() - 1
-        self._set_mask = np.int64(params.num_sets - 1)
-        # Set-index dtype: the counting partition wants int32 directly
-        # (its scatter kernel is compiled for 32-bit indices); the
-        # argsort fallback is ~5x faster on the narrowest dtype that
-        # holds a set index (numpy's radix path) — int16 covers up to
-        # 32768 sets, which includes both of the paper's caches. Either
-        # way :func:`repro.cache.partition.partition` re-narrows as it
-        # needs, this just avoids a conversion on the hot path.
-        if counting_available() and params.num_sets <= (1 << 31):
-            self._set_dtype = np.int32
-        elif params.num_sets <= (1 << 15):
-            self._set_dtype = np.int16
-        elif params.num_sets <= (1 << 31):
-            self._set_dtype = np.int32
-        else:  # pragma: no cover - absurd geometry
-            self._set_dtype = np.int64
-        self._set_mask_narrow = self._set_dtype(params.num_sets - 1)
-        self.stats = CacheStats()
+        super().__init__(params)
         # Resident line id per set; -1 = invalid (no byte address maps to it).
         self._tags = np.full(params.num_sets, -1, dtype=np.int64)
 
@@ -80,32 +60,10 @@ class DirectMappedCache:
         self._tags.fill(-1)
 
     # ------------------------------------------------------------------
-    def set_index(self, lines: np.ndarray) -> np.ndarray:
-        """Set indices for line ids, in the partition-friendly dtype.
-
-        Narrow first, mask in place: the mask keeps only the low
-        log2(num_sets) bits, which a truncating downcast preserves
-        exactly, so this equals ``(lines & mask).astype(dtype)`` without
-        the intermediate full-width int64 temporary — one fewer
-        chunk-sized allocation per access on the hot path.
-        """
-        sets = lines.astype(self._set_dtype)
-        np.bitwise_and(sets, self._set_mask_narrow, out=sets)
-        return sets
-
     def access_grouped(self, l_sorted: np.ndarray,
                        bp: np.ndarray) -> tuple[np.ndarray, int]:
-        """Simulate a set-partitioned line stream against carried tags.
-
-        ``l_sorted`` holds line ids grouped by set index (program order
-        within each group) and ``bp`` the group boundaries as returned
-        by :func:`repro.cache.partition.partition` (set ``s`` occupies
-        ``l_sorted[bp[s]:bp[s + 1]]``). Returns ``(miss_sorted,
-        n_miss)`` in the partitioned order and updates the resident
-        tags; the caller owns statistics (this is the shared kernel
-        under both :meth:`access` and the batched hierarchy engine,
-        which account accesses differently).
-        """
+        """Simulate a set-partitioned line stream against carried tags
+        (see :meth:`CacheLevel.access_grouped`)."""
         n = l_sorted.size
         miss_sorted = np.empty(n, dtype=bool)
         if n == 0:
@@ -120,24 +78,6 @@ class DirectMappedCache:
         # Last access of each segment leaves its line resident.
         self._tags[occupied] = l_sorted[bp[occupied + 1] - 1]
         return miss_sorted, int(np.count_nonzero(miss_sorted))
-
-    def access(self, byte_addrs: np.ndarray) -> np.ndarray:
-        """Simulate a chunk of accesses; return the boolean miss mask."""
-        byte_addrs = np.asarray(byte_addrs, dtype=np.int64)
-        n = byte_addrs.size
-        if n == 0:
-            return np.zeros(0, dtype=bool)
-
-        lines = byte_addrs >> self._line_shift
-        order, bp = partition(self.set_index(lines), self.params.num_sets)
-        miss_sorted, n_miss = self.access_grouped(lines[order], bp)
-
-        miss = np.empty(n, dtype=bool)
-        miss[order] = miss_sorted
-
-        self.stats.accesses += n
-        self.stats.misses += n_miss
-        return miss
 
     # ------------------------------------------------------------------
     # tag-state primitives for steady-state extrapolation
@@ -171,7 +111,7 @@ class DirectMappedCache:
     def contains(self, byte_addr: int) -> bool:
         """Whether the line holding ``byte_addr`` is currently resident."""
         line = byte_addr >> self._line_shift
-        return bool(self._tags[line & int(self._set_mask)] == line)
+        return bool(self._tags[line & self._set_mask] == line)
 
     def resident_lines(self) -> np.ndarray:
         """Line ids currently in the cache (for inspection/tests)."""

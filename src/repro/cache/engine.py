@@ -1,17 +1,23 @@
 """Batched single-pass hierarchy engine.
 
 :meth:`CacheHierarchy.run <repro.cache.hierarchy.CacheHierarchy.run>`
-drives this engine whenever no miss classifiers are attached (3C
-classification needs per-access masks the batched form never builds).
-It produces **bit-for-bit** the same :class:`HierarchyStats` as the
-per-chunk ``access()`` loop — the differential tests in
+drives every trace through this engine. It produces **bit-for-bit** the
+same :class:`HierarchyStats` (and 3C classification) as the per-chunk
+``access()`` loop — the differential tests in
 ``tests/test_cache_engine.py`` hold it to that — by exploiting a
 property both paths share: direct-mapped/LRU simulation with carried
 state is *split-invariant*, so the stream may be re-batched freely
 without changing a single miss.
 
+**One level contract.** Each level window is partitioned by the level's
+:meth:`~repro.cache.base.CacheLevel.set_index` and simulated by its
+:meth:`~repro.cache.base.CacheLevel.access_grouped`; those are the only
+simulator methods the engine calls, whatever the associativity.
+
 **Windowed batching.** Every level consumes its input stream in
-windows of about :data:`BATCH_TARGET` addresses. Chunks smaller than a
+windows of its simulator's ``window`` addresses
+(:data:`~repro.cache.base.BATCH_TARGET` unless the simulator wants more
+amortization). Chunks smaller than a
 window (a tile row's last, partial batch of tiles, for instance) are
 buffered and concatenated so the fixed per-call numpy cost is paid
 once per window; chunks larger than a window are *split*, because the
@@ -25,22 +31,11 @@ full-size windows instead of one small call per L1 window. Levels are
 decoupled by their carried state: only the order of each level's own
 input matters, and buffering preserves it.
 
-**One partition serving two levels.** When the hierarchy is exactly
-two direct-mapped levels with equal line size and ``S1 <= S2`` sets,
-L1's set index is the low bits of L2's: ``set1 = set2 & (S1 - 1)``.
-The engine then partitions each window once by L1 set, simulates L1,
-and extracts L2's demand *in sorted space* (``l_sorted[miss]``) —
-grouped by ``set1``, program-ordered within each group. Because every
-L2 set's accesses fall inside a single ``set1`` group, a stable
-partition of that demand by ``set2`` still yields per-L2-set program
-order, so L2 is simulated exactly without ever rebuilding the demand
-stream's global program order. (Concatenating such per-window demand
-segments preserves the property: within a window per-set2 order is
-program order, and windows arrive in program order.) For any other
-geometry (the paper's 32B-L1/64B-L2 default included) the engine falls
-back to one partition per level, which is still strictly cheaper than
-the legacy path thanks to windowing and the counting partition
-(:mod:`repro.cache.partition`).
+**Classification.** A level's miss classifier sees every window of
+that level in stream order, with the window's program-order miss mask
+— the same split-invariant stream the per-chunk loop feeds it. A
+classified L1 materializes its run windows (outcome ``classified``),
+since the closed-form run path never builds a per-access mask.
 
 The engine is created per ``run()`` and owns no cache state — tags and
 statistics live in the level simulators exactly as before, so carried
@@ -52,25 +47,11 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.cache.assoc_scan import AssocScanCache
-from repro.cache.direct_mapped import DirectMappedCache
 from repro.cache.partition import partition, run_line_intervals
 from repro.obs import metrics
 from repro.trace.runs import materialize_runs
 
-__all__ = ["HierarchyEngine", "BATCH_TARGET", "shared_partition_applies",
-           "run_path_applies"]
-
-#: Target addresses per simulated window (128 KB of int64): large
-#: enough to amortize numpy call overhead, small enough that the
-#: partition scatter and segment scans stay cache-resident.
-BATCH_TARGET = 1 << 14
-
-#: Window size for associative-scan levels: the LRU scan replays each
-#: occupied set's carried stack as ghost accesses every window, so its
-#: fixed cost (up to ``num_sets * assoc`` ghosts) wants more
-#: amortization than the direct-mapped scatter does.
-ASSOC_BATCH_TARGET = 1 << 16
+__all__ = ["HierarchyEngine"]
 
 #: Minimum predicted compression (accesses per line interval) for the
 #: closed-form run path to be attempted. One interval costs roughly
@@ -81,39 +62,6 @@ ASSOC_BATCH_TARGET = 1 << 16
 #: element strides under 32-byte lines compress 4:1 (below threshold);
 #: 64-byte-and-wider lines or coarser-than-element strides clear it.
 RUN_PROFIT_RATIO = 6
-
-
-def shared_partition_applies(levels, params) -> bool:
-    """Whether one L1 partition can serve both levels (see module doc).
-
-    Exactly two direct-mapped levels with equal line size and
-    ``S1 <= S2`` sets: L1's set index is then the low bits of L2's, so
-    a stable partition of L2's demand by ``set2`` can be extracted in
-    L1's sorted space. Shared between the engine and
-    :meth:`CacheHierarchy.engine_support
-    <repro.cache.hierarchy.CacheHierarchy.engine_support>` so the
-    reported mode always matches what the engine will do.
-    """
-    levels = list(levels)
-    params = list(params)
-    return (len(levels) == 2
-            and isinstance(levels[0], DirectMappedCache)
-            and isinstance(levels[1], DirectMappedCache)
-            and params[0].line_bytes == params[1].line_bytes
-            and params[0].num_sets <= params[1].num_sets)
-
-
-def run_path_applies(level, params) -> bool:
-    """Whether a level can consume affine runs without expanding them.
-
-    Both eligible simulators expose the partitioned
-    ``access_grouped(l_sorted, bp)`` contract the run path drives with
-    a closed-form interval stream; anything else (the 2-way
-    specialization, scalar references) gets materialized input instead.
-    Shared between the engine and :meth:`CacheHierarchy.engine_support
-    <repro.cache.hierarchy.CacheHierarchy.engine_support>`.
-    """
-    return isinstance(level, (DirectMappedCache, AssocScanCache))
 
 
 def _runs_interleave(bases: np.ndarray, strides: np.ndarray,
@@ -191,30 +139,27 @@ class HierarchyEngine:
         The hierarchy's live level simulators (state + stats holders).
     params:
         Matching :class:`~repro.cache.params.CacheParams` per level.
+    classifiers:
+        Per-level :class:`~repro.cache.classify.MissClassifier` or
+        ``None`` (the hierarchy's list).
     strategy:
         Partition strategy override forwarded to
         :func:`repro.cache.partition.partition` (tests force
         ``"argsort"`` to diff the two paths); ``None`` = automatic.
     """
 
-    def __init__(self, levels, params, strategy: str | None = None):
+    def __init__(self, levels, params, classifiers,
+                 strategy: str | None = None):
         self._levels = list(levels)
         self._params = list(params)
+        self._classifiers = list(classifiers)
         self._strategy = strategy
+        self._nlev = len(self._levels)
         self._shifts = [int(p.line_bytes).bit_length() - 1 for p in params]
         self._nsets = [p.num_sets for p in params]
-        self._nlev = len(self._levels)
         self._bufs: list[list[np.ndarray]] = [[] for _ in levels]
         self._pending = [0] * self._nlev
-        self._wins = [ASSOC_BATCH_TARGET
-                      if isinstance(lvl, AssocScanCache) else BATCH_TARGET
-                      for lvl in self._levels]
-        self._shared = shared_partition_applies(self._levels, self._params)
-
-    @property
-    def mode(self) -> str:
-        """``"shared"`` (one partition feeds both levels) or ``"per_level"``."""
-        return "shared" if self._shared else "per_level"
+        self._wins = [lvl.window for lvl in self._levels]
 
     # ------------------------------------------------------------------
     def feed(self, byte_addrs: np.ndarray) -> None:
@@ -229,10 +174,11 @@ class HierarchyEngine:
         by the caller — with per-segment ``strides``/``counts`` (see
         :class:`~repro.trace.runs.RunChunk`). Eligible windows are
         simulated at L1 straight from the closed-form interval
-        decomposition; anything the closed form cannot prove exact
-        (per-set interleaving, out-of-range strides, a non-partitioned
-        L1 simulator) is materialized and driven through the ordinary
-        flat path — statistics are bit-for-bit identical either way.
+        decomposition; anything the closed form cannot prove exact or
+        profitable (per-set interleaving, out-of-range strides, low
+        compression, a classified L1) is materialized and driven
+        through the ordinary flat path — statistics are bit-for-bit
+        identical either way.
         """
         nseg, nrefs = bases.shape
         if nseg == 0 or nrefs == 0:
@@ -240,57 +186,43 @@ class HierarchyEngine:
         total = int(counts.sum()) * nrefs
         if total == 0:
             return
-        lvl = self._levels[0]
-        line_bytes = self._params[0].line_bytes
-        stride_ok = total < (1 << 31) and bool(np.all(
-            ((strides > 0) & (strides <= line_bytes))
-            | ((strides == 0) & (counts == 1))))
-        if not run_path_applies(lvl, self._params[0]) or not stride_ok:
-            outcome = ("stride_fallback" if run_path_applies(
-                lvl, self._params[0]) else "level_fallback")
-            metrics.inc("repro.cache.run_windows", outcome=outcome)
-            metrics.inc("repro.cache.run_elements", total,
-                        path="materialized")
-            self._feed_level(
-                0, materialize_runs(bases, strides, counts).reshape(-1))
-            return
-        shift = self._shifts[0]
-        nsets = self._nsets[0]
-        # Closed-form interval count — the run path's whole cost scales
-        # with it, so low compression means the flat path wins even
-        # though both are exact. Predicted without decomposing.
-        nv = int(((bases + (counts[:, None] - 1) * strides[:, None])
-                  >> shift).sum() - (bases >> shift).sum()) + bases.size
-        if total < nv * RUN_PROFIT_RATIO:
-            metrics.inc("repro.cache.run_windows", outcome="unprofitable")
-            metrics.inc("repro.cache.run_elements", total,
-                        path="materialized")
-            self._feed_level(
-                0, materialize_runs(bases, strides, counts).reshape(-1))
-            return
-        if _runs_interleave(bases, strides, counts, shift, nsets):
-            metrics.inc("repro.cache.run_windows", outcome="conflict")
+        outcome = self._run_outcome(bases, strides, counts, total)
+        metrics.inc("repro.cache.run_windows", outcome=outcome)
+        if outcome != "runs":
             metrics.inc("repro.cache.run_elements", total,
                         path="materialized")
             self._feed_level(
                 0, materialize_runs(bases, strides, counts).reshape(-1))
             return
         # Run windows are simulated inline, so L1's flat buffer must
-        # drain first to keep the level's input in stream order; in
-        # shared mode L2's buffered demand is sorted-space line ids,
-        # incompatible with the byte demand runs produce, so the whole
-        # engine drains and stays per-level from here on (statistics
-        # are identical, shared mode is purely a speed mode).
-        if self._shared:
-            self.flush()
-            self._shared = False
-        else:
-            self._flush_level(0)
+        # drain first to keep the level's input in stream order.
+        self._flush_level(0)
         demand = self._run_window(bases, strides, counts)
-        metrics.inc("repro.cache.run_windows", outcome="runs")
         metrics.inc("repro.cache.run_elements", total, path="runs")
         if self._nlev > 1 and demand.size:
             self._feed_level(1, demand)
+
+    def _run_outcome(self, bases: np.ndarray, strides: np.ndarray,
+                     counts: np.ndarray, total: int) -> str:
+        """``"runs"`` if L1 may take the closed form, else the reason."""
+        if self._classifiers[0] is not None:
+            return "classified"
+        line_bytes = self._params[0].line_bytes
+        if total >= (1 << 31) or not bool(np.all(
+                ((strides > 0) & (strides <= line_bytes))
+                | ((strides == 0) & (counts == 1)))):
+            return "stride_fallback"
+        shift = self._shifts[0]
+        # Closed-form interval count — the run path's whole cost scales
+        # with it, so low compression means the flat path wins even
+        # though both are exact. Predicted without decomposing.
+        nv = int(((bases + (counts[:, None] - 1) * strides[:, None])
+                  >> shift).sum() - (bases >> shift).sum()) + bases.size
+        if total < nv * RUN_PROFIT_RATIO:
+            return "unprofitable"
+        if _runs_interleave(bases, strides, counts, shift, self._nsets[0]):
+            return "conflict"
+        return "runs"
 
     def _run_window(self, bases: np.ndarray, strides: np.ndarray,
                     counts: np.ndarray) -> np.ndarray:
@@ -324,7 +256,7 @@ class HierarchyEngine:
         # Stability makes the per-set streams start-position-ordered,
         # and ``ip[order]`` maps sorted space back to interval rows.
         ip = np.argsort(p, kind="stable")
-        order, bp = partition(line[ip] & np.int64(nsets - 1), nsets,
+        order, bp = partition(lvl.set_index(line[ip]), nsets,
                               self._strategy)
         idx = ip[order]
         lg = line[idx]
@@ -393,51 +325,33 @@ class HierarchyEngine:
         batch = buf[0] if len(buf) == 1 else np.concatenate(buf)
         buf.clear()
         self._pending[i] = 0
-        forward = i + 1 < self._nlev
         win = self._wins[i]
         for s in range(0, batch.size, win):
             demand = self._process(i, batch[s:s + win])
-            if forward and demand is not None:
+            if demand is not None:
                 self._feed_level(i + 1, demand)
 
     def _process(self, i: int, window: np.ndarray) -> np.ndarray | None:
-        """Simulate one window at level ``i``; return its demand stream.
-
-        In shared mode the demand (and level 1's input) are *line ids*
-        in sorted-space order; in per-level mode everything stays byte
-        addresses in program order.
-        """
+        """Simulate one window at level ``i``; return its demand stream
+        (missed byte addresses in program order; ``None`` at the last
+        level)."""
         lvl = self._levels[i]
-        last = i + 1 == self._nlev
         if i == 0:
             metrics.inc("repro.cache.batches")
-        if self._shared:
-            lines = window if i else window >> self._shifts[0]
-            order, bp = partition(lvl.set_index(lines), self._nsets[i],
-                                  self._strategy)
-            l_sorted = lines[order]
-            miss_sorted, nmiss = lvl.access_grouped(l_sorted, bp)
-            lvl.stats.accesses += window.size
-            lvl.stats.misses += nmiss
-            if last:
-                return None
-            metrics.inc("repro.cache.shared_sort_hits")
-            return l_sorted[miss_sorted]
-        if isinstance(lvl, (DirectMappedCache, AssocScanCache)):
-            # Both expose the same caller-owns-stats partitioned
-            # contract: set_index() + access_grouped(l_sorted, bp).
-            lines = window >> self._shifts[i]
-            order, bp = partition(lvl.set_index(lines), self._nsets[i],
-                                  self._strategy)
-            miss_sorted, nmiss = lvl.access_grouped(lines[order], bp)
-            lvl.stats.accesses += window.size
-            lvl.stats.misses += nmiss
-            if last:
-                return None
-            # Demand stream back in program order: scatter the
-            # sorted-space miss positions through the permutation.
-            sel = np.zeros(window.size, dtype=bool)
-            sel[order[miss_sorted]] = True
-            return window[sel]
-        miss = lvl.access(window)   # 2-way levels keep their own path
+        lines = window >> self._shifts[i]
+        order, bp = partition(lvl.set_index(lines), self._nsets[i],
+                              self._strategy)
+        miss_sorted, nmiss = lvl.access_grouped(lines[order], bp)
+        lvl.stats.accesses += window.size
+        lvl.stats.misses += nmiss
+        last = i + 1 == self._nlev
+        cls = self._classifiers[i]
+        if last and cls is None:
+            return None
+        # Program-order miss mask: scatter the sorted-space miss
+        # positions through the permutation.
+        miss = np.zeros(window.size, dtype=bool)
+        miss[order[miss_sorted]] = True
+        if cls is not None:
+            cls.classify(window, miss)
         return None if last else window[miss]

@@ -5,7 +5,10 @@ Every internal call site that needs a level simulator for a
 (:func:`repro.cache.hierarchy.build_level`), TLB modeling
 (:func:`repro.cache.tlb.build_tlb`) — routes through
 :func:`build_simulator`, so the geometry→implementation policy lives
-here and nowhere else:
+here and nowhere else. Every choice is a
+:class:`~repro.cache.base.CacheLevel` — ``set_index`` +
+``access_grouped``, the one contract the hierarchy engine drives, the
+closed-form run path at L1 included:
 
 * ``assoc == 1`` — :class:`~repro.cache.direct_mapped.DirectMappedCache`,
   the counting-partition segmented scan (fastest; also the only class

@@ -25,29 +25,21 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.cache.base import CacheStats
+from repro.cache.base import CacheLevel, CacheStats
 from repro.cache.params import CacheParams
-from repro.cache.partition import partition
 from repro.errors import CacheGeometryError
 
 __all__ = ["TwoWayCache"]
 
 
-class TwoWayCache:
+class TwoWayCache(CacheLevel):
     """Streaming 2-way LRU simulator (vectorized)."""
 
     def __init__(self, params: CacheParams):
         if params.assoc != 2:
             raise CacheGeometryError(
                 f"TwoWayCache requires assoc=2, got {params.assoc}")
-        self.params = params
-        self._line_shift = int(params.line_bytes).bit_length() - 1
-        self._set_mask = np.int64(params.num_sets - 1)
-        if params.num_sets <= (1 << 15):
-            self._set_dtype = np.int16
-        else:
-            self._set_dtype = np.int32
-        self.stats = CacheStats()
+        super().__init__(params)
         # Last two distinct lines per set: mru, lru; -1/-2 invalid
         # sentinels (no byte address maps to negative lines, and the two
         # sentinels must differ so they never look like a valid pair).
@@ -57,8 +49,7 @@ class TwoWayCache:
     def reset(self) -> None:
         """Empty the cache AND zero the statistics (a fresh simulator)."""
         self.stats = CacheStats()
-        self._mru.fill(-1)
-        self._lru.fill(-2)
+        self.invalidate()
 
     def invalidate(self) -> None:
         """Empty the cache but keep the statistics (mid-stream flush)."""
@@ -66,93 +57,48 @@ class TwoWayCache:
         self._lru.fill(-2)
 
     # ------------------------------------------------------------------
-    def access(self, byte_addrs: np.ndarray) -> np.ndarray:
-        byte_addrs = np.asarray(byte_addrs, dtype=np.int64)
-        n = byte_addrs.size
+    def access_grouped(self, l_sorted: np.ndarray,
+                       bp: np.ndarray) -> tuple[np.ndarray, int]:
+        """Simulate a set-partitioned line stream against the carried
+        pairs (see :meth:`CacheLevel.access_grouped`)."""
+        n = l_sorted.size
+        miss = np.zeros(n, dtype=bool)
         if n == 0:
-            return np.zeros(0, dtype=bool)
-
-        lines = byte_addrs >> self._line_shift
-        sets = (lines & self._set_mask).astype(self._set_dtype)
-
-        order, bp = partition(sets, self.params.num_sets)
-        s_sorted = sets[order]
-        l_sorted = lines[order]
-
-        # Segment starts/sets straight from the partition boundaries.
-        seg_sets = np.flatnonzero(bp[1:] > bp[:-1])
-        starts = bp[seg_sets]
-
-        # Previous access's line, with carried MRU at segment starts.
+            return miss, 0
+        occupied = np.flatnonzero(bp[1:] > bp[:-1])  # sets with accesses
+        # Previous access's line, with the carried MRU at segment starts.
         prev1 = np.empty(n, dtype=np.int64)
         prev1[1:] = l_sorted[:-1]
-        prev1[starts] = self._mru[seg_sets]
+        prev1[bp[occupied]] = self._mru[occupied]
+        # A segment's last line is its new MRU (for a segment without
+        # run heads that is the carried MRU, so this is always right).
+        self._mru[occupied] = l_sorted[bp[occupied + 1] - 1]
+        head = np.flatnonzero(l_sorted != prev1)      # non-heads hit
+        if head.size == 0:
+            return miss, 0
 
-        run_head = l_sorted != prev1          # non-heads always hit
-        miss = np.zeros(n, dtype=bool)
-
-        if np.any(run_head):
-            # prev2: the line before prev1 *in compressed (run-head)
-            # space*. Build it per segment by indexing the previous run
-            # head's prev1 (which is itself the head before that).
-            idx = np.flatnonzero(run_head)
-            # For each run head, the preceding run head in the same
-            # segment, if any:
-            heads_sets = s_sorted[idx]
-            head_first = np.empty(idx.size, dtype=bool)
-            head_first[0] = True
-            np.not_equal(heads_sets[1:], heads_sets[:-1],
-                         out=head_first[1:])
-
-            x = l_sorted[idx]                 # compressed sequence
-            xm1 = prev1[idx]                  # x_{i-1} (or carried MRU)
-            xm2 = np.empty(idx.size, dtype=np.int64)
-            xm2[1:] = xm1[:-1]                # previous head's x_{i-1}
-            hs = heads_sets[head_first].astype(np.int64)
-            xm2[head_first] = self._lru[hs]
-            # Second head of a segment: x_{i-2} is the carried MRU only
-            # when the first head was a continuation... it cannot be: a
-            # segment's first *run head* differs from carried MRU, so
-            # for the second head, x_{i-2} = carried MRU exactly when
-            # the first head is its immediate predecessor — which is
-            # what xm1[:-1] already delivers. Only the first head per
-            # segment needs the carried LRU.
-            miss_heads = x != xm2
-            miss[idx] = miss_heads
-
-            # New carried state per set: last two distinct lines.
-            ends = np.concatenate([starts[1:],
-                                   np.array([n], dtype=starts.dtype)]) - 1
-            last_line = l_sorted[ends]
-            # prev distinct at end: if the segment had any run head, the
-            # last run head's xm1 when the final run IS that head's run.
-            # The final run's head is the last head in the segment; its
-            # xm1 is the distinct line before it.
-            head_positions = idx
-            # last head per segment: build per-segment via searchsorted.
-            seg_of_head = np.searchsorted(starts, head_positions,
-                                          side="right") - 1
-            last_head_of_seg = np.full(starts.size, -1, dtype=np.int64)
-            last_head_of_seg[seg_of_head] = np.arange(idx.size)
-            has_head = last_head_of_seg >= 0
-            new_lru = self._lru[seg_sets].copy()
-            prev_mru = self._mru[seg_sets]
-            lh = last_head_of_seg[has_head]
-            new_lru[has_head] = xm1[lh]
-            # Segments with no run head keep both state entries.
-            self._lru[seg_sets[has_head]] = new_lru[has_head]
-            self._mru[seg_sets] = np.where(has_head, last_line, prev_mru)
-        # else: every access continued the carried run; state unchanged.
-
-        out = np.empty(n, dtype=bool)
-        out[order] = miss
-
-        self.stats.accesses += n
-        self.stats.misses += int(np.count_nonzero(miss))
-        return out
+        x = l_sorted[head]                 # compressed sequence
+        xm1 = prev1[head]                  # x_{i-1} (or carried MRU)
+        hset = x & self._set_mask
+        first = np.empty(head.size, dtype=bool)   # first head of a set
+        first[0] = True
+        np.not_equal(hset[1:], hset[:-1], out=first[1:])
+        # x_{i-2} is the previous head's x_{i-1} within a set; a set's
+        # first head reaches back to the carried LRU instead.
+        xm2 = np.empty(head.size, dtype=np.int64)
+        xm2[1:] = xm1[:-1]
+        xm2[first] = self._lru[hset[first]]
+        miss_heads = x != xm2
+        miss[head] = miss_heads
+        # The distinct line before a set's last run is its new LRU.
+        last = np.empty(head.size, dtype=bool)
+        last[:-1] = first[1:]
+        last[-1] = True
+        self._lru[hset[last]] = xm1[last]
+        return miss, int(np.count_nonzero(miss_heads))
 
     # ------------------------------------------------------------------
     def contains(self, byte_addr: int) -> bool:
         line = int(byte_addr) >> self._line_shift
-        s = line & int(self._set_mask)
+        s = line & self._set_mask
         return bool(self._mru[s] == line or self._lru[s] == line)

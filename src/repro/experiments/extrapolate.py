@@ -32,7 +32,8 @@ Ineligible by construction:
   plane-periodic stream to extrapolate (``reason="tiled_schedule"``);
 * **classifiers** — 3C classification must observe every access;
   skipped planes would leave the shadow caches stale, so the runner
-  never combines the two (``--metrics`` wins; see ``_simulate_exact``);
+  never combines the two (extrapolation wins; see
+  ``_simulate_exact``);
 * **non-direct-mapped levels** — only :class:`DirectMappedCache`
   exposes the tag-array shift primitives
   (``reason="level_not_direct_mapped"``);
@@ -84,7 +85,7 @@ def _ineligibility(sel, hier: CacheHierarchy, specs) -> str | None:
     """The precondition that rules this point out, or ``None``."""
     if sel.tiled:
         return "tiled_schedule"
-    if not hier.engine_support().eligible:
+    if any(c is not None for c in hier.classifiers):
         # Miss classifiers must observe every access; skipped planes
         # would leave the shadow caches stale (see module docstring).
         return "classifiers"

@@ -201,10 +201,8 @@ def _simulate_exact(kernel_name: str, strategy: str, n: int,
 
     ``trace_form`` selects the trace representation (statistics are
     bit-for-bit identical across forms): ``"auto"`` resolves to the
-    run-compressed form except where a consumer needs materialized
-    chunks anyway — the extrapolation path replays flat per-plane
-    chunks, and attached miss classifiers force the legacy per-chunk
-    loop, which would just re-expand every run.
+    run-compressed form unless the point extrapolates, since the
+    extrapolation path replays flat per-plane chunks.
     """
     faults.tick("simulate")
     kern = _kernel_cls(kernel_name)(n, cfg.nk, elem_bytes=cfg.elem_bytes)
@@ -219,7 +217,7 @@ def _simulate_exact(kernel_name: str, strategy: str, n: int,
     classify = metrics.enabled() and not extrapolate
     form = trace_form
     if form == "auto":
-        form = "flat" if (extrapolate or classify) else "runs"
+        form = "flat" if extrapolate else "runs"
     if classify:
         # Shadow-LRU miss classification is a Python-loop cost, so it is
         # attached only when a registry is collecting (``--metrics``).

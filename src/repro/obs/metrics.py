@@ -46,12 +46,16 @@ name                                   type        labels
 ``repro.perf.point_cache_misses``      counter     —
 ``repro.perf.point_cache_puts``        counter     —
 ``repro.perf.point_cache_evictions``   counter     —
-``repro.cache.engine_runs``            counter     ``mode`` in shared|
-                                                   per_level|legacy
+``repro.cache.engine_runs``            counter     —
+``repro.cache.engine_level_mode``      counter     ``level``, ``mode`` in
+                                                   per_level|assoc_scan
 ``repro.cache.batches``                counter     —
+``repro.cache.run_windows``            counter     ``outcome`` in runs|
+                                                   stride_fallback|
+                                                   unprofitable|conflict|
+                                                   classified
 ``repro.cache.partition``              counter     ``strategy`` in
                                                    counting|argsort
-``repro.cache.shared_sort_hits``       counter     —
 ``repro.cache.extrapolation``          counter     ``outcome`` in fired|
                                                    fallback; ``reason``
 ``repro.cache.extrapolation_planes_skipped``  counter  —

@@ -107,15 +107,14 @@ class RunSummary:
     extrapolation_fired: int = 0
     extrapolation_fallback: int = 0
     extrapolation_planes_skipped: int = 0
-    #: batched-engine activity from the metrics snapshot: mode -> runs.
-    engine_runs: dict[str, int] = field(default_factory=dict)
+    #: ``CacheHierarchy.run`` calls, from the metrics snapshot.
+    engine_runs: int = 0
     #: per-level engine coverage: level name -> {mode: runs}, from the
     #: ``repro.cache.engine_level_mode`` counter (the metrics face of
     #: ``CacheHierarchy.engine_support()``).
     engine_levels: dict[str, dict[str, int]] = field(default_factory=dict)
     #: partition strategy -> invocation count (metrics snapshot).
     partitions: dict[str, int] = field(default_factory=dict)
-    shared_sort_hits: int = 0
     #: affine run-compressed traces (``repro.trace.run_*`` counters):
     #: chunks emitted as runs, stored runs, addresses they represent,
     #: and generator fallbacks by reason.
@@ -226,9 +225,7 @@ def summarize(events: list[dict], metrics: dict | None = None,
             labels = row.get("labels", {})
             name = row.get("name")
             if name == "repro.cache.engine_runs":
-                mode = labels.get("mode", "?")
-                s.engine_runs[mode] = (s.engine_runs.get(mode, 0)
-                                       + int(row.get("value", 0)))
+                s.engine_runs += int(row.get("value", 0))
             elif name == "repro.cache.partition":
                 strat = labels.get("strategy", "?")
                 s.partitions[strat] = (s.partitions.get(strat, 0)
@@ -238,8 +235,6 @@ def summarize(events: list[dict], metrics: dict | None = None,
                 mode = labels.get("mode", "?")
                 by = s.engine_levels.setdefault(lvl, {})
                 by[mode] = by.get(mode, 0) + int(row.get("value", 0))
-            elif name == "repro.cache.shared_sort_hits":
-                s.shared_sort_hits += int(row.get("value", 0))
             elif name == "repro.trace.run_chunks":
                 s.run_chunks += int(row.get("value", 0))
             elif name == "repro.trace.runs":
@@ -304,14 +299,11 @@ def format_report(s: RunSummary) -> str:
             f"{s.integrity_quarantined} artifacts quarantined "
             f"(inspect .quarantine/, then `repro fsck`)")
     if s.engine_runs or s.partitions:
-        runs = ", ".join(f"{n} {m}" for m, n in sorted(s.engine_runs.items()))
         parts_str = ", ".join(f"{n} {strat}"
                               for strat, n in sorted(s.partitions.items()))
-        line = f"cache engine: runs [{runs or 'none'}]"
+        line = f"cache engine: {s.engine_runs} runs"
         if parts_str:
             line += f", partitions [{parts_str}]"
-        if s.shared_sort_hits:
-            line += f", {s.shared_sort_hits} shared-sort batches"
         parts.append(line)
     if s.engine_levels:
         per = "; ".join(

@@ -134,11 +134,9 @@ class TestAgainstScalar:
     @pytest.mark.parametrize("assoc", (4, 8))
     def test_state_carries_across_internal_windows(self, assoc):
         """Traces longer than the internal window keep exact LRU state."""
-        from repro.cache.assoc_scan import _WINDOW
-
         p = params(assoc, size=4096, line=16)
         rng = np.random.default_rng(assoc)
-        addrs = mixed_trace(rng, _WINDOW + 4111, 16,
+        addrs = mixed_trace(rng, AssocScanCache.window + 4111, 16,
                             int(1.5 * p.num_lines))
         sc, sa = AssocScanCache(p), SetAssociativeCache(p)
         assert np.array_equal(sc.access(addrs), sa.access(addrs))
@@ -211,19 +209,12 @@ class TestEngineSupport:
     L1 = CacheParams(1024, 32, 1, "L1")
     L2 = CacheParams(8 * 1024, 32, 1, "L2")
 
-    def test_shared_partition_mode(self):
-        support = CacheHierarchy([self.L1, self.L2]).engine_support()
-        assert support.eligible
-        assert [ls.mode for ls in support.levels] == ["single_sort"] * 2
-        assert support.level("L1").reason == "shared_partition"
-
     def test_per_level_modes_and_reasons(self):
         levels = [CacheParams(1024, 16, 1, "L1"),
                   CacheParams(4 * 1024, 16, 2, "L2.2w"),
                   CacheParams(16 * 1024, 16, 4, "L3.4w"),
                   tlb_params(8)]
         support = CacheHierarchy(levels).engine_support()
-        assert support.eligible
         assert support.level("L1").mode == "per_level"
         assert support.level("L1").reason == "direct_mapped"
         assert support.level("L2.2w").mode == "assoc_scan"
@@ -235,19 +226,29 @@ class TestEngineSupport:
         with pytest.raises(KeyError):
             support.level("L9")
 
-    def test_classifiers_force_legacy(self):
+    def test_classifiers_keep_level_modes(self):
+        """Classified levels stay on the engine: only a classified L1's
+        run plan changes (it materializes runs for the per-access miss
+        mask)."""
         from repro.cache.classify import MissClassifier
 
+        plain = CacheHierarchy([self.L1, self.L2]).engine_support()
+        for attach in ([MissClassifier(self.L1), None],
+                       [MissClassifier(self.L1), MissClassifier(self.L2)]):
+            hier = CacheHierarchy([self.L1, self.L2])
+            hier.attach_classifiers(attach)
+            support = hier.engine_support()
+            assert [(ls.mode, ls.reason) for ls in support.levels] == \
+                [(ls.mode, ls.reason) for ls in plain.levels]
+            l1, l2 = support.levels
+            assert (l1.run_mode, l1.run_reason) == ("materialize",
+                                                    "classified")
+            assert (l2.run_mode, l2.run_reason) == ("demand",
+                                                    "miss_filtered")
+
         hier = CacheHierarchy([self.L1, self.L2])
-        hier.attach_classifiers([MissClassifier(self.L1), None])
-        support = hier.engine_support()
-        assert not support.eligible
-        assert all(ls.mode == "legacy" and
-                   ls.reason == "classifiers_attached"
-                   for ls in support.levels)
-        assert all(ls.run_mode == "materialize" and
-                   ls.run_reason == "classifiers_attached"
-                   for ls in support.levels)
+        hier.attach_classifiers([None, MissClassifier(self.L2)])
+        assert hier.engine_support() == plain
 
     def test_engine_eligible_shim_removed(self):
         """The deprecated ``engine_eligible()`` shim is gone for good."""
@@ -270,7 +271,7 @@ class TestEngineSupport:
 
         twow = CacheHierarchy([CacheParams(4 * 1024, 16, 2, "L1.2w")])
         ls = twow.engine_support().level("L1.2w")
-        assert (ls.run_mode, ls.run_reason) == ("materialize", "two_way_path")
+        assert (ls.run_mode, ls.run_reason) == ("intervals", "lru_scan")
 
     @pytest.mark.parametrize("assoc", (4, 64))
     def test_hierarchy_run_matches_scalar_with_assoc_level(self, assoc):

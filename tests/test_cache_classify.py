@@ -91,6 +91,91 @@ class TestKernelIdentity:
             assert sum(cls.by_array.values()) == st.misses, name
 
 
+def _classified(levels, ranges=None):
+    h = CacheHierarchy(levels)
+    h.attach_classifiers([MissClassifier(p, ranges) for p in levels])
+    return h
+
+
+def _class_counts(h):
+    return [(cls.counts, cls.by_array) for cls in h.classifiers]
+
+
+class TestEngineMatchesAccessLoop:
+    """Classifiers on the engine (``run``) see exactly the stream the
+    per-chunk ``access()`` loop feeds them: same 3C and per-array
+    counts, for flat and run-compressed traces alike."""
+
+    @pytest.mark.parametrize("kernel", ["JACOBI", "RESID"])
+    @pytest.mark.parametrize("strategy", ["Orig", "GcdPad"])
+    @pytest.mark.parametrize("form", ["flat", "runs"])
+    def test_kernel_trace(self, kernel, strategy, form, tiny_config,
+                          monkeypatch):
+        import repro.trace.runs as runs_mod
+        from repro.core.selector import select
+        from repro.experiments.runner import _schedule_for
+        from repro.kernels import KERNELS
+        from repro.obs import metrics
+
+        # Let the small grid emit real run chunks.
+        monkeypatch.setattr(runs_mod, "MIN_CHUNK_ADDRESSES", 0)
+        n = 24
+        kern = KERNELS[kernel](n, tiny_config.nk)
+        meta = kern.meta
+        sel = select(strategy, tiny_config.cs, n, n,
+                     mi=meta.mi, mj=meta.mj, atd=meta.atd)
+        schedule = _schedule_for(strategy, kernel, sel)
+        ranges = [(s.name, s.base * s.elem_bytes, s.end * s.elem_bytes)
+                  for s in kern.specs(sel.di_p, sel.dj_p).values()]
+
+        ref = _classified(tiny_config.levels, ranges)
+        for addrs, w in kern.trace(sel, schedule):
+            ref.access(addrs, w)
+        eng = _classified(tiny_config.levels, ranges)
+        with metrics.collect() as reg:
+            stats = eng.run(kern.trace(sel, schedule, structured=True,
+                                       trace_form=form))
+
+        assert _class_counts(eng) == _class_counts(ref)
+        for (name, st), cls in zip(stats.levels, eng.classifiers):
+            assert cls.total == st.misses, name
+        assert stats.levels == ref.stats().levels
+        if form == "runs":
+            # The classified L1 materialized real run windows.
+            assert reg.counter_total("repro.cache.run_windows",
+                                     outcome="classified") > 0
+
+    def test_random_stream_with_mid_stream_invalidate(self, rng):
+        levels = [tiny_params(512, 16, 1, "L1"),
+                  tiny_params(4096, 32, 2, "L2")]
+        addrs = rng.integers(0, 1 << 14, size=40_000) * 4
+        cuts = np.sort(rng.integers(0, addrs.size, size=9))
+        chunks = np.split(addrs, cuts)
+        half = len(chunks) // 2
+
+        ref = _classified(levels)
+        for i, chunk in enumerate(chunks):
+            if i == half:
+                ref.invalidate()
+            ref.access(chunk)
+        eng = _classified(levels)
+
+        def stream():
+            # Invalidate while the engine is live: it must flush its
+            # buffered windows (and their classification) first.
+            for i, chunk in enumerate(chunks):
+                if i == half:
+                    eng.invalidate()
+                yield chunk
+
+        eng.run(stream())
+
+        assert _class_counts(eng) == _class_counts(ref)
+        assert eng.stats().levels == ref.stats().levels
+        for (_, st), cls in zip(eng.stats().levels, eng.classifiers):
+            assert cls.total == st.misses
+
+
 class TestResetSemantics:
     def test_invalidate_keeps_seen_and_counts(self):
         p = tiny_params()

@@ -1,10 +1,10 @@
 """Differential tests of the batched hierarchy engine.
 
 The engine's contract is *bit-for-bit* equality: whatever path a
-stream takes — legacy per-chunk ``access()`` loop, batched engine in
-shared or per-level mode, counting or argsort partition, any chunk
-split — the resulting :class:`HierarchyStats` must be identical, and
-identical to the scalar :class:`SetAssociativeCache` ground truth.
+stream takes — the per-chunk ``CacheHierarchy.access()`` loop or the
+batched engine behind ``run()``, counting or argsort partition, any
+chunk split — the resulting :class:`HierarchyStats` must be identical,
+and identical to the scalar :class:`SetAssociativeCache` ground truth.
 These tests hold every pairing to that, over randomized streams that
 mix uniform-random, strided-sweep, and hot-set phases so both
 miss-heavy and hit-heavy regimes are exercised across window
@@ -18,7 +18,6 @@ from repro.cache import (
     BATCH_TARGET,
     CacheHierarchy,
     CacheParams,
-    HierarchyEngine,
     SetAssociativeCache,
     WritePolicy,
     counting_available,
@@ -27,23 +26,23 @@ from repro.cache import (
 from repro.obs import metrics
 
 # Geometry zoo: name -> level params. Small caches so random streams
-# actually collide; each exercises a distinct engine mode.
+# actually collide; each exercises a distinct simulator or geometry.
 GEOMETRIES = {
     # paper-shaped: 32B L1 lines, 64B L2 lines -> per_level mode
     "paper_mixed_lines": (CacheParams(4 * 1024, 32, 1, "L1"),
                           CacheParams(64 * 1024, 64, 1, "L2")),
-    # equal line sizes, S1 <= S2 -> shared single-partition mode
+    # equal line sizes, S1 <= S2: L1's set index is the low bits of L2's
     "equal_lines_shared": (CacheParams(4 * 1024, 64, 1, "L1"),
                            CacheParams(64 * 1024, 64, 1, "L2")),
     # one level only
     "single_level": (CacheParams(2 * 1024, 32, 1, "L1"),),
-    # 2-way L2 -> TwoWayCache level inside the engine's per-level path
+    # 2-way L2 -> TwoWayCache level behind access_grouped
     "two_way_l2": (CacheParams(4 * 1024, 32, 1, "L1"),
                    CacheParams(32 * 1024, 32, 2, "L2")),
     # num_sets == 2**15: the int16 narrowing boundary (max key 32767)
     "set_count_boundary": (CacheParams(1 * 1024, 32, 1, "L1"),
                            CacheParams((1 << 15) * 32, 32, 1, "L2")),
-    # 4-way L2 -> AssocScanCache level inside the engine's per-level path
+    # 4-way L2 -> AssocScanCache level behind access_grouped
     "four_way_l2": (CacheParams(4 * 1024, 32, 1, "L1"),
                     CacheParams(16 * 1024, 32, 4, "L2")),
     # fully-associative (TLB-shaped) L1 over a direct-mapped L2
@@ -269,22 +268,6 @@ def test_two_way_state_carries_across_chunks():
     stats = CacheHierarchy(list(params)).run(iter(chunks))
     assert_matches_ground_truth(
         stats, *ground_truth(params, chunks, WritePolicy.WRITE_AROUND))
-
-
-def test_engine_mode_detection():
-    def mode(params):
-        hier = CacheHierarchy(list(params))
-        return HierarchyEngine(hier.levels, hier.params).mode
-
-    assert mode(GEOMETRIES["equal_lines_shared"]) == "shared"
-    assert mode(GEOMETRIES["paper_mixed_lines"]) == "per_level"
-    assert mode(GEOMETRIES["two_way_l2"]) == "per_level"
-    assert mode(GEOMETRIES["four_way_l2"]) == "per_level"
-    assert mode(GEOMETRIES["fully_assoc_l1"]) == "per_level"
-    # S1 > S2 breaks the low-bits containment shared mode needs.
-    inverted = (CacheParams(64 * 1024, 64, 1, "L1"),
-                CacheParams(4 * 1024, 64, 1, "L2"))
-    assert mode(inverted) == "per_level"
 
 
 def test_counting_strategy_available_matches_scipy():

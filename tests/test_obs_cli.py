@@ -160,19 +160,22 @@ class TestEngineSupportLine:
     def test_summarize_collects_level_modes(self):
         metrics = {"counters": [
             {"name": "repro.cache.engine_level_mode",
-             "labels": {"level": "L1", "mode": "single_sort"}, "value": 3},
+             "labels": {"level": "L1", "mode": "per_level"}, "value": 3},
             {"name": "repro.cache.engine_level_mode",
-             "labels": {"level": "L2", "mode": "single_sort"}, "value": 3},
+             "labels": {"level": "L2", "mode": "per_level"}, "value": 4},
             {"name": "repro.cache.engine_level_mode",
              "labels": {"level": "L1", "mode": "assoc_scan"}, "value": 1},
+            {"name": "repro.cache.engine_runs", "labels": {}, "value": 4},
         ]}
         s = summarize([], metrics)
         assert s.engine_levels == {
-            "L1": {"single_sort": 3, "assoc_scan": 1},
-            "L2": {"single_sort": 3}}
+            "L1": {"per_level": 3, "assoc_scan": 1},
+            "L2": {"per_level": 4}}
+        assert s.engine_runs == 4
         out = format_report(s)
-        assert "engine support: L1 [1 assoc_scan, 3 single_sort]; " \
-               "L2 [3 single_sort]" in out
+        assert "engine support: L1 [1 assoc_scan, 3 per_level]; " \
+               "L2 [4 per_level]" in out
+        assert "cache engine: 4 runs" in out
 
     def test_clean_slate_renders_no_support_line(self):
         assert "engine support:" not in format_report(summarize([]))

@@ -35,6 +35,9 @@ GEOMETRIES = {
                CacheParams(1 << 20, 64, 1, "L2")],
     "assoc4": [CacheParams(16384, 32, 4, "L1"),
                CacheParams(1 << 20, 64, 4, "L2")],
+    # 64B lines so unit-stride runs clear RUN_PROFIT_RATIO.
+    "assoc2": [CacheParams(16384, 64, 2, "L1"),
+               CacheParams(1 << 20, 64, 1, "L2")],
     "l1only": [CacheParams(16384, 32, 1, "L1")],
     "micro":  [CacheParams(512, 32, 1, "L1"),
                CacheParams(4096, 32, 1, "L2")],
@@ -306,7 +309,7 @@ class TestEngineDifferential:
     """Runs must be bit-for-bit equal to flat — the tentpole invariant."""
 
     @pytest.mark.parametrize("kernel,strategy", KERNEL_STRATEGIES)
-    @pytest.mark.parametrize("geometry", ("std", "micro"))
+    @pytest.mark.parametrize("geometry", ("std", "micro", "assoc2"))
     def test_kernel_matrix(self, kernel, strategy, geometry, monkeypatch):
         # Lift the generator's chunk-size floor so the tiny test grids
         # emit real run chunks for every kernel, not just the wide ones.
@@ -325,7 +328,7 @@ class TestEngineDifferential:
         assert flat == runs
 
     @pytest.mark.parametrize("geometry", ("std", "wide64", "assoc4",
-                                          "l1only"))
+                                          "l1only", "assoc2"))
     def test_forced_closed_form(self, geometry, monkeypatch):
         """With the profitability gate and the chunk-size floor off,
         every eligible window takes the closed-form interval path —
@@ -341,14 +344,16 @@ class TestEngineDifferential:
     def test_profitable_windows_take_run_path(self, monkeypatch):
         """64-byte lines over 8-byte strides clear the profitability
         gate, so wide geometry must actually exercise the closed form
-        (guards against the fast path silently never engaging)."""
+        (guards against the fast path silently never engaging) — at a
+        direct-mapped and at a 2-way L1 alike."""
         monkeypatch.setattr(runs_mod, "MIN_CHUNK_ADDRESSES", 0)
-        with metrics.collect() as reg:
-            _run_stats("JACOBI", "Orig", 40, 10, "runs", "wide64")
-        assert reg.counter_total("repro.cache.run_windows",
-                                 outcome="runs") > 0
-        assert reg.counter_total("repro.cache.run_elements",
-                                 path="runs") > 0
+        for geometry in ("wide64", "assoc2"):
+            with metrics.collect() as reg:
+                _run_stats("JACOBI", "Orig", 40, 10, "runs", geometry)
+            assert reg.counter_total("repro.cache.run_windows",
+                                     outcome="runs") > 0, geometry
+            assert reg.counter_total("repro.cache.run_elements",
+                                     path="runs") > 0, geometry
 
     def test_mid_stream_invalidate(self, monkeypatch):
         """A cold restart half-way through the stream must not break
