@@ -77,16 +77,21 @@ def test_bench_point_assoc_geometry(tiny_config):
     assert _point_key(legacy) != _point_key(pt)
 
 
-def test_two_way_sweep_beats_scalar_reference_2x():
-    """The PR 9 acceptance gate: the vectorized associative engine must
-    run a 2-way geometry sweep at >= 2x the scalar exact-LRU reference.
+@pytest.mark.parametrize("assoc,floor", [(2, 2.0), (4, 1.5), (8, 1.5)])
+def test_assoc_sweep_beats_scalar_reference(assoc, floor):
+    """The vectorized associative engines must run an ``assoc``-way
+    geometry sweep at >= ``floor`` x the scalar exact-LRU reference.
 
-    Measured locally at ~7-8x; 2x leaves room for runner noise while
-    still catching a fallback to the scalar path.
+    Measured on a 2-vCPU host (JACOBI Orig N=64, NK=11): 2-way
+    (``TwoWayCache``) 12-13x, 4- and 8-way (``AssocScanCache``)
+    2.5-3.1x, where a merge-count for every run head ran at 0.8-1.0x.
+    The floors leave room for runner noise while still catching a
+    fallback to the scalar path or a k-way verdict that costs as much
+    as the reference again.
     """
-    res = bench_assoc_speedup("JACOBI", "Orig", 64, assoc=2, repeats=2)
+    res = bench_assoc_speedup("JACOBI", "Orig", 64, assoc=assoc, repeats=2)
     assert res["addresses"] > 0
-    assert res["speedup"] >= 2.0, res
+    assert res["speedup"] >= floor, res
 
 
 def test_trace_form_differential(tiny_config):

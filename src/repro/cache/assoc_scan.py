@@ -24,28 +24,42 @@ set's segment):
    enclosing interval), so only run heads are scanned — stencil traces
    compress severalfold (spatial locality), TLB page traces by orders
    of magnitude.
-3. **Previous occurrence.** ``P[i]`` = the previous compressed position
-   of line ``i`` (-1 if none), from one stable sort of the line ids.
-   Equal lines share a set and segments are contiguous, so ``P`` never
-   crosses a segment boundary. For ``assoc == 1`` the scan ends here:
-   compression makes every run head a direct-mapped miss.
-4. **Stack distance.** With segment-relative positions ``p``, the
-   number of distinct lines strictly between an access and its previous
-   occurrence is ``d[i] = C[i] - p[P[i]] - 1`` where
-   ``C[i] = #{t < i, same segment : p[P[t]] <= p[P[i]]}``: positions at
-   or before ``P[i]`` contribute exactly ``p[P[i]] + 1`` (every ``P``
-   points strictly backwards), and positions inside the interval count
-   precisely when they are the first occurrence of their line there —
-   one per distinct line. ``C`` is a dominance count, computed by a
-   vectorized bottom-up merge count with *segment-aligned* blocks: per
-   power-of-two width, one sort + ``searchsorted`` counts each ordered
-   pair at the single width where its positions split into the two
-   halves of one block, so the level count is ``log2`` of the longest
-   segment, not of the window.
-5. **Verdict and state.** A run head misses iff ``P[i] == -1`` (line
-   not resident) or ``d[i] >= assoc`` (pushed out since last use);
-   non-heads hit. The new per-set stack is each segment's last
-   ``assoc`` distinct lines by recency — the last-occurrence positions,
+3. **Previous and next occurrence.** ``P[i]`` and ``Nx[i]`` = the
+   previous and next compressed positions of line ``i`` (``-1`` and
+   ``mc``, the compressed length, if none), from one stable sort of the
+   line ids. Equal lines share a set and segments are contiguous, so
+   neither crosses a segment boundary. For ``assoc == 1`` the scan ends
+   here: compression makes every run head a direct-mapped miss.
+4. **Verdict.** A run head misses iff ``P[i] == -1`` (line not
+   resident) or at least ``assoc`` distinct lines came between its two
+   uses (pushed out since last use); non-heads hit. Three routes,
+   cheapest first, each exact:
+
+   * *Reuse gap.* ``i - P[i] - 1 < assoc``: fewer than ``assoc``
+     positions, so fewer lines, lie between the uses — a hit.
+   * *Bounded scan.* Walk ``j = i - 1, i - 2, ...`` counting the
+     positions with ``Nx[j] > i``: each is the last use of one
+     distinct line before ``i``. Reaching ``P[i]`` is a hit; the count
+     reaching ``assoc`` is a miss. One vectorized step per offset over
+     the heads still open, at most :data:`SCAN_STEP_CAP` steps. On the
+     stencil traces nearly every head settles on its gap, and the rest
+     within ~30 steps.
+   * *Dominance count*, for heads the cap left open (a few pages
+     revisited over long stretches, as in TLB streams). With
+     segment-relative positions ``p``, the distinct lines between the
+     uses number ``C[i] - p[P[i]] - 1`` where ``C[i] = #{t < i, same
+     segment : p[P[t]] <= p[P[i]]}``: positions at or before ``P[i]``
+     contribute exactly ``p[P[i]] + 1`` (every ``P`` points strictly
+     backwards), and positions inside the interval count precisely
+     when they are the first occurrence of their line there — one per
+     distinct line. ``C`` at the open heads comes from a vectorized
+     bottom-up merge count with *segment-aligned* blocks: per
+     power-of-two width, one sort + ``searchsorted`` counts each
+     ordered pair at the single width where its positions split into
+     the two halves of one block, so the level count is ``log2`` of the
+     longest segment, not of the window.
+5. **State.** The new per-set stack is each segment's last ``assoc``
+   distinct lines by recency — the positions with no next occurrence,
    which ascend by recency within a segment.
 
 Bit-for-bit identity with :class:`SetAssociativeCache` (including
@@ -62,10 +76,17 @@ from repro.cache.params import CacheParams
 
 __all__ = ["AssocScanCache"]
 
+#: Backward-scan steps per run head before it falls back to the
+#: dominance count (module docstring, step 4). Stencil traces resolve
+#: every head within ~30 steps; page streams revisiting a few pages
+#: over long stretches would scan far longer without it.
+SCAN_STEP_CAP = 64
+
 
 def _seg_prefix_leq(vals: np.ndarray, rel: np.ndarray, seg: np.ndarray,
-                    seg_len: np.ndarray) -> np.ndarray:
-    """``C[i] = #{t < i, seg[t] == seg[i] : vals[t] <= vals[i]}``.
+                    seg_len: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """``C[i] = #{t < i, seg[t] == seg[i] : vals[t] <= vals[i]}`` for
+    the query positions ``i`` in ``q``.
 
     ``rel`` holds segment-relative positions, ``seg`` the segment id
     per element, ``seg_len`` each segment's length. Bottom-up merge
@@ -75,10 +96,11 @@ def _seg_prefix_leq(vals: np.ndarray, rel: np.ndarray, seg: np.ndarray,
     exactly one width (the highest differing bit of their relative
     positions), so summing per-width left-half counts over all widths
     counts each pair once. Per width: one sort of block-offset
-    composite keys plus a ``searchsorted`` — no per-element Python.
+    composite keys plus a ``searchsorted`` of the queries in the right
+    halves — no per-element Python.
     """
     m = vals.size
-    C = np.zeros(m, dtype=np.int64)
+    C = np.zeros(q.size, dtype=np.int64)
     longest = int(seg_len.max()) if seg_len.size else 0
     if m < 2 or longest < 2:
         return C
@@ -88,6 +110,7 @@ def _seg_prefix_leq(vals: np.ndarray, rel: np.ndarray, seg: np.ndarray,
     # component non-negative.
     shifted = vals + np.int64(1)
     M = np.int64(int(shifted.max()) + 1)
+    qrel, qseg, qshifted = rel[q], seg[q], shifted[q]
     level = 0
     while (1 << level) < longest:
         # Segment-aligned blocks of size 2w: block_base reserves a
@@ -96,18 +119,51 @@ def _seg_prefix_leq(vals: np.ndarray, rel: np.ndarray, seg: np.ndarray,
         nblk_seg = (seg_len + (2 << level) - 1) >> (level + 1)
         block_base = np.zeros(seg_len.size + 1, dtype=np.int64)
         np.cumsum(nblk_seg, out=block_base[1:])
-        blk = block_base[seg] + (rel >> (level + 1))
-        right = ((rel >> level) & 1) == 1
-        nblk = int(block_base[-1])
-        lkeys = blk[~right] * M + shifted[~right]
+        left = ((rel >> level) & 1) == 0
+        lblk = block_base[seg[left]] + (rel[left] >> (level + 1))
+        lkeys = lblk * M + shifted[left]
         lkeys.sort()
-        pos = np.searchsorted(lkeys, blk[right] * M + shifted[right],
+        before = np.zeros(int(block_base[-1]) + 1, dtype=np.int64)
+        np.cumsum(np.bincount(lblk, minlength=before.size - 1),
+                  out=before[1:])
+        right = ((qrel >> level) & 1) == 1
+        qblk = block_base[qseg[right]] + (qrel[right] >> (level + 1))
+        pos = np.searchsorted(lkeys, qblk * M + qshifted[right],
                               side="right")
-        before = np.zeros(nblk + 1, dtype=np.int64)
-        np.cumsum(np.bincount(blk[~right], minlength=nblk), out=before[1:])
-        C[right] += pos - before[blk[right]]
+        C[right] += pos - before[qblk]
         level += 1
     return C
+
+
+def _scan_back(heads: np.ndarray, P: np.ndarray, Nx: np.ndarray,
+               assoc: int) -> tuple[np.ndarray, np.ndarray]:
+    """Bounded backward scan: exact verdicts for most run ``heads``.
+
+    Walks ``j = i - 1, i - 2, ...`` for every head ``i`` at once, one
+    vectorized step per offset, counting the positions with
+    ``Nx[j] > i`` — each is the last use of one distinct line before
+    ``i``. A head hits on reaching ``P[i]`` and misses once the count
+    reaches ``assoc``. Returns ``(miss, open_)``: the verdicts (False
+    where unresolved) and the indices into ``heads`` still unresolved
+    after :data:`SCAN_STEP_CAP` steps.
+    """
+    miss = np.zeros(heads.size, dtype=bool)
+    live = np.arange(heads.size)
+    cur, prev = heads, P[heads]
+    count = np.zeros(heads.size, dtype=np.int64)
+    for k in range(1, SCAN_STEP_CAP + 1):
+        if live.size == 0:
+            break
+        j = cur - k
+        count += Nx[j] > cur
+        full = count >= assoc
+        done = full | (j == prev)
+        if done.any():
+            miss[live[full]] = True
+            keep = ~done
+            live, cur, prev, count = (live[keep], cur[keep], prev[keep],
+                                      count[keep])
+    return miss, live
 
 
 class AssocScanCache(CacheLevel):
@@ -189,8 +245,7 @@ class AssocScanCache(CacheLevel):
         hidx = np.flatnonzero(head)
         core = ext[hidx]
         mc = core.size
-        # Compressed-space segment starts/lengths and per-element
-        # segment-relative positions.
+        # Compressed-space segment starts/lengths.
         hcount = np.zeros(m + 1, dtype=np.int64)
         np.cumsum(head, out=hcount[1:])
         c_start = hcount[ext_start]
@@ -198,28 +253,38 @@ class AssocScanCache(CacheLevel):
         c_len[:-1] = c_start[1:] - c_start[:-1]
         c_len[-1] = mc - c_start[-1]
         c_seg = np.repeat(np.arange(occ.size), c_len)
-        rel = np.arange(mc, dtype=np.int64) - c_start[c_seg]
 
-        # Previous occurrence of each line (-1 = first in window),
-        # segment-relative: equal lines always share a segment.
+        # Previous (-1 = first in window) and next (mc = last in
+        # window) occurrence of each line; equal lines always share a
+        # segment, so neither crosses a segment boundary.
         order2 = np.argsort(core, kind="stable")
         P = np.full(mc, -1, dtype=np.int64)
+        Nx = np.full(mc, mc, dtype=np.int64)
         if mc > 1:
+            prv, nxt = order2[:-1], order2[1:]
             c2 = core[order2]
-            P[order2[1:]] = np.where(c2[1:] == c2[:-1], order2[:-1],
-                                     np.int64(-1))
+            same = c2[1:] == c2[:-1]
+            P[nxt] = np.where(same, prv, np.int64(-1))
+            Nx[prv] = np.where(same, nxt, np.int64(mc))
         seen = P >= 0
-        Prel = np.where(seen, P - c_start[c_seg], np.int64(-1))
 
         # Verdict per run head: a distinct-line change always misses a
-        # direct-mapped set; for A >= 2, resident iff the stack
-        # distance (distinct lines since last use) stays below A.
-        if A == 1 or not seen.any():
-            miss_core = ~seen if A > 1 else np.ones(mc, dtype=bool)
+        # direct-mapped set; for A >= 2, resident iff fewer than A
+        # distinct lines came between the two uses (module docstring,
+        # step 4).
+        if A == 1:
+            miss_core = np.ones(mc, dtype=bool)
         else:
-            C = _seg_prefix_leq(Prel, rel, c_seg, c_len)
             miss_core = ~seen
-            np.logical_or(miss_core, C - Prel - 1 >= A, out=miss_core)
+            far = np.flatnonzero(seen)
+            far = far[far - P[far] - 1 >= A]     # reuse gap of A or more
+            miss_core[far], open_ = _scan_back(far, P, Nx, A)
+            if open_.size:
+                rel = np.arange(mc, dtype=np.int64) - c_start[c_seg]
+                Prel = np.where(seen, P - c_start[c_seg], np.int64(-1))
+                h = far[open_]
+                C = _seg_prefix_leq(Prel, rel, c_seg, c_len, h)
+                miss_core[h] = C - Prel[h] - 1 >= A
         miss_ext = np.zeros(m, dtype=bool)   # non-heads hit
         miss_ext[hidx] = miss_core
         miss_sorted = miss_ext[real_pos]
@@ -228,9 +293,7 @@ class AssocScanCache(CacheLevel):
         # recency. Last occurrences ascend by recency within a segment
         # (position order IS recency order), so the per-segment tail of
         # length A, MRU in the last column, is the new stack.
-        last = np.ones(mc, dtype=bool)
-        last[P[seen]] = False
-        last_pos = np.flatnonzero(last)
+        last_pos = np.flatnonzero(Nx == mc)
         seg_of = c_seg[last_pos]
         counts = np.bincount(seg_of, minlength=occ.size)
         rank_from_end = (np.cumsum(counts)[seg_of] - 1

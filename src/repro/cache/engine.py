@@ -245,8 +245,7 @@ class HierarchyEngine:
         nseg, nrefs = bases.shape
         shift = self._shifts[0]
         nsets = self._nsets[0]
-        run, q, line, p, pe = run_line_intervals(
-            bases, strides, counts, shift)
+        run, _, line, p = run_line_intervals(bases, strides, counts, shift)
         nv = p.size
         total = int(counts.sum()) * nrefs
         # Two cheap stable passes instead of one comparison sort on a

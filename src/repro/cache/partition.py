@@ -153,19 +153,13 @@ def run_line_intervals(bases: np.ndarray, strides: np.ndarray,
     same decomposition *is* the per-set sub-run decomposition; their
     periodicity in ``t`` is what makes the closed form possible.)
 
-    Returns ``(run, q, line, p, pe)``, one row per interval in
+    Returns ``(run, q, line, p)``, one row per interval in
     ``(run, line)`` order, where ``run = g * n_refs + c`` indexes the
     flattened runs (int32), ``q`` is the interval's ordinal within its
-    run (int32), ``line`` the absolute line id (int64), and
-
-    * ``p``  — the interleaved-stream position of the interval's first
-      access (``segment_offset + t_first * n_refs + c``), unique per
-      interval (int32 — the caller bounds windows below 2**31
-      positions);
-    * ``pe`` — the position of its *last* access. Because a run's
-      intervals tile its iterations, ``pe`` is the next interval's
-      ``p`` minus ``n_refs`` (run-final intervals use the segment
-      count) — no second division.
+    run (int32), ``line`` the absolute line id (int64), and ``p`` the
+    interleaved-stream position of the interval's first access
+    (``segment_offset + t_first * n_refs + c``), unique per interval
+    (int32 — the caller bounds windows below 2**31 positions).
 
     For power-of-two strides (the overwhelmingly common case: unit or
     constant element-count steps of power-of-two element sizes) the
@@ -221,7 +215,4 @@ def run_line_intervals(bases: np.ndarray, strides: np.ndarray,
         np.maximum(t, 0, out=t)
         p = (t * nrefs + pc_run[run].astype(np.int64)).astype(np.int32)
     p[cum[:-1]] = pc_run                      # q == 0 starts at t = 0
-    pe = np.empty_like(p)
-    pe[:total - 1] = p[1:] - np.int32(nrefs)
-    pe[cum[1:] - 1] = pc_run + ((counts[g_run] - 1) * nrefs).astype(np.int32)
-    return run, q, line, p, pe
+    return run, q, line, p

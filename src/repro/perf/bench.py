@@ -33,7 +33,8 @@ simulation. The JSON layout:
 
 ``--assoc-speedup A`` additionally times an A-way sweep against the
 scalar exact-LRU reference (:func:`bench_assoc_speedup`) and prints
-the ratio — the perf-smoke job gates it at >= 2x for 2-way.
+the ratio; ``benchmarks/test_bench_sweep_perf.py`` gates it at >= 2x
+for 2-way and >= 1.5x for 4- and 8-way.
 ``--trace-speedup MIN`` times trace generation in both forms
 (:func:`bench_trace_speedup`) and exits non-zero when the geomean
 ``trace_seconds`` speedup of runs over flat falls below ``MIN``.

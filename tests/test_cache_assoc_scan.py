@@ -2,11 +2,14 @@
 
 ``AssocScanCache`` is the generalization of the 2-way run-head trick:
 partition by set, prepend the carried LRU stacks as ghost accesses,
-compress duplicate runs, and resolve exact stack distances with a
-segmented merge-count. Its contract is *bit-for-bit* equality with the
-scalar :class:`SetAssociativeCache` reference — per-access miss masks,
-not just totals — across associativities, chunk splits, window
-boundaries, and mid-stream invalidation. The second half of the file
+compress duplicate runs, and settle each run head from its reuse gap,
+a bounded backward scan, or — past the scan's step cap — a segmented
+merge-count. Its contract is *bit-for-bit* equality with the scalar
+:class:`SetAssociativeCache` reference — per-access miss masks, not
+just totals — across associativities, chunk splits, window
+boundaries, mid-stream invalidation, and both verdict routes (the
+scalar cases run again with the cap at one step). The second half of
+the file
 pins the single-home factory (:func:`build_simulator`) and the typed
 ``engine_support()`` report that replaced the old boolean
 ``engine_eligible()``.
@@ -16,7 +19,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.cache import build_simulator
+from repro.cache import assoc_scan, build_simulator
 from repro.cache.assoc_scan import AssocScanCache
 from repro.cache.direct_mapped import DirectMappedCache
 from repro.cache.hierarchy import CacheHierarchy
@@ -120,7 +123,8 @@ class TestAgainstScalar:
         assert np.array_equal(np.concatenate(parts), ref)
 
     def test_fully_associative_tlb_geometry(self):
-        """num_sets == 1 takes the partition-bypass path."""
+        """num_sets == 1: each window is one segment, and pages
+        revisited across a hot phase scan past the default step cap."""
         p = tlb_params(16, page_bytes=64)
         assert p.num_sets == 1
         rng = np.random.default_rng(11)
@@ -165,6 +169,40 @@ class TestAgainstScalar:
         sc, sa = AssocScanCache(p), SetAssociativeCache(p)
         for addrs, w in kern.trace(sel):
             assert np.array_equal(sc.access(addrs[~w]), sa.access(addrs[~w]))
+
+    @pytest.mark.parametrize("assoc", (2, 4, 8))
+    def test_long_scan_reaches_dominance_count(self, assoc, monkeypatch):
+        """A reuse gap far longer than the step cap holding only two
+        distinct lines: the scan cannot settle it, so the verdict comes
+        from the dominance count (for assoc 2 the scan still settles it
+        as a miss after two steps, unless the cap is one step)."""
+        routed = []
+        count = assoc_scan._seg_prefix_leq
+
+        def spy(vals, rel, seg, seg_len, q):
+            routed.append(q.size)
+            return count(vals, rel, seg, seg_len, q)
+
+        monkeypatch.setattr(assoc_scan, "_seg_prefix_leq", spy)
+        p = params(assoc)
+        z, x, y, w = (k * p.num_sets for k in range(4))   # all set 0
+        alternating = [x, y] * (assoc_scan.SCAN_STEP_CAP + 5)
+        lines = np.array([z, *alternating, z, w, z], dtype=np.int64)
+        sc, sa = AssocScanCache(p), SetAssociativeCache(p)
+        miss = sc.access(lines * p.line_bytes)
+        assert np.array_equal(miss, sa.access(lines * p.line_bytes))
+        assert miss[-3] == (assoc == 2) and not miss[-1]
+        assert bool(routed) == (assoc > 2 or assoc_scan.SCAN_STEP_CAP == 1)
+
+
+class TestAgainstScalarCountRoute(TestAgainstScalar):
+    """The scalar cases with the scan capped at one step: every run
+    head whose reuse gap is ``assoc`` or more — each needs at least two
+    steps — takes the dominance count instead."""
+
+    @pytest.fixture(autouse=True)
+    def _one_step_cap(self, monkeypatch):
+        monkeypatch.setattr(assoc_scan, "SCAN_STEP_CAP", 1)
 
 
 class TestGroupedContract:

@@ -242,8 +242,8 @@ class TestRunLineIntervals:
         counts = np.array([17, 1, 40, 9], dtype=np.int64)
         strides = np.full(4, stride, dtype=np.int64)
         bases = rng.integers(0, 1 << 16, size=(4, 3)).astype(np.int64)
-        run, q, line, p, pe = run_line_intervals(bases, strides, counts,
-                                                 line_shift)
+        run, q, line, p = run_line_intervals(bases, strides, counts,
+                                             line_shift)
         nrefs = bases.shape[1]
         offs = np.concatenate([[0], np.cumsum(counts)[:-1]]) * nrefs
         expect = []
@@ -252,22 +252,20 @@ class TestRunLineIntervals:
                 t = np.arange(counts[g])
                 lines = (bases[g, c] + t * strides[g]) >> line_shift
                 starts = np.flatnonzero(np.diff(lines, prepend=lines[0] - 1))
-                ends = np.append(starts[1:], t.size) - 1
-                for qq, (s, e) in enumerate(zip(starts, ends)):
+                for qq, s in enumerate(starts):
                     expect.append((g * nrefs + c, qq, lines[s],
-                                   offs[g] + s * nrefs + c,
-                                   offs[g] + e * nrefs + c))
+                                   offs[g] + s * nrefs + c))
         got = sorted(zip(run.tolist(), q.tolist(), line.tolist(),
-                         p.tolist(), pe.tolist()))
+                         p.tolist()))
         assert got == sorted(expect)
 
     def test_interval_positions_are_int32(self):
         bases = np.array([[0]], dtype=np.int64)
         out = run_line_intervals(bases, np.array([8], dtype=np.int64),
                                  np.array([100], dtype=np.int64), 5)
-        run, q, line, p, pe = out
+        run, q, line, p = out
         assert run.dtype == np.int32 and q.dtype == np.int32
-        assert p.dtype == np.int32 and pe.dtype == np.int32
+        assert p.dtype == np.int32
 
 
 class TestInterleaveCertificate:
