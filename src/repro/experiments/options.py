@@ -1,28 +1,19 @@
 """Typed option bundles for the experiment harness.
 
-Three PRs of resilience and parallelism features grew ``sweep`` /
-``table3`` / ``figure_series`` a sprawl of keyword arguments
-(``checkpoint=``, ``budget=``, ``parallel=``, ``point_timeout=``,
-``resume_force=`` — and this PR would have added two more). This
-module collapses the sprawl into two frozen dataclasses:
+Every execution choice of a sweep or a point travels in one of two
+frozen dataclasses:
 
 * :class:`SweepOptions` — everything a *sweep* may carry: resilience
   (checkpoint journal, per-point budget), parallelism (worker count,
   hard point timeout), and performance (persistent point cache, trace
   chunk size). Passed as one ``options=`` argument.
-* :class:`PointPolicy` — everything *one point's* execution may carry;
-  the single ``run_point(..., policy=)`` entry point replaced the old
-  ``run_point`` / ``run_point_resilient`` / ``run_point_analytic``
-  trio.
+* :class:`PointPolicy` — everything *one point's* execution may carry,
+  passed to ``run_point(..., policy=)``. Its :attr:`~PointPolicy.plain`
+  decides whether the in-process memo may serve the point.
 
 Both are frozen (hashable, safe to share across threads and to ship to
 worker processes) and validate in ``__post_init__`` so a bad value
 fails at construction, where the typo is, not deep inside a sweep.
-
-The legacy keyword forms (and their shims) completed their deprecation
-cycle and are **removed**: passing ``checkpoint=`` etc. to ``sweep`` /
-``table3`` / ``figure_series`` now raises :class:`TypeError` like any
-other unknown keyword.
 """
 
 from __future__ import annotations
@@ -95,29 +86,15 @@ class SweepOptions:
         _check_chunk_size(self.chunk_size)
         _check_trace_form(self.trace_form, self.extrapolate)
 
-    @property
-    def plain(self) -> bool:
-        """No per-point machinery: the memoized fast path applies.
-
-        ``extrapolate`` routes around the memo too — its results carry
-        a provenance flag (``PointResult.extrapolated``) that a memo
-        shared with non-extrapolating callers would misreport. A forced
-        ``trace_form`` likewise routes around the memo: both forms are
-        bit-for-bit identical, but benchmarks force a form precisely to
-        *measure* it, and a memo hit would silently measure nothing.
-        """
-        return (self.checkpoint is None and self.budget is None
-                and self.point_cache is None and self.chunk_size is None
-                and not self.extrapolate and self.trace_form == "auto")
-
     def point_policy(self, journal=None, store=None) -> "PointPolicy":
-        """The per-point policy this sweep implies (serial path).
+        """The per-point policy this sweep implies in-process.
 
         ``journal``/``store`` are the *opened* resources resolved from
-        :attr:`checkpoint`/:attr:`point_cache` by the runner. Serially
+        :attr:`checkpoint`/:attr:`point_cache` by the runner. In-process
         there is no supervisor to SIGKILL an over-time point, so without
-        a ``budget`` the ``point_timeout`` becomes an in-process wall
-        budget.
+        a ``budget`` the ``point_timeout`` becomes a wall budget (a
+        pooled sweep keeps :attr:`budget` and hands ``point_timeout`` to
+        the supervisor instead).
         """
         budget = self.budget
         if budget is None and self.point_timeout is not None:
@@ -179,7 +156,13 @@ class PointPolicy:
 
     @property
     def plain(self) -> bool:
-        """True when the memoized exact fast path may serve this point."""
+        """True when the memoized exact fast path may serve this point.
+
+        ``extrapolate`` and a forced ``trace_form`` route around the
+        memo too: an extrapolated result carries a provenance flag a
+        shared memo would misreport, and benchmarks force a form to
+        *measure* it, which a memo hit would not.
+        """
         return (not self.analytic and self.budget is None
                 and self.journal is None and self.store is None
                 and self.chunk_size is None and not self.extrapolate

@@ -20,30 +20,31 @@ machinery the point may use — nothing (the memoized exact fast path),
 the analytic miss model, a retry/degrade budget, a checkpoint journal,
 a persistent point store, a trace chunk bound — and sweeps carry the
 same choices in one frozen :class:`~repro.experiments.options.SweepOptions`.
-(The pre-``PointPolicy`` shims — ``run_point_resilient``,
-``run_point_analytic``, the ``sweep(checkpoint=...)`` keyword forms —
-completed their deprecation cycle and are gone.)
 
 Caching is layered; a point is served by the first layer that has it:
 
 * **journal** — this sweep's fingerprinted JSONL checkpoint
   (:mod:`repro.resilience.checkpoint`): crash/resume within one sweep;
 * **store** — the persistent, content-addressed point cache
-  (:mod:`repro.perf.store`): reuse across runs and across the parallel
-  pool's processes, keyed by :func:`config_fingerprint` + point key;
+  (:mod:`repro.perf.store`): reuse across runs and across processes,
+  keyed by :func:`config_fingerprint` + point key;
 * **memo** — the in-process ``lru_cache`` (plain points only; bounded
   by ``REPRO_POINT_CACHE`` entries, default 4096), letting Table 3 and
   the per-figure benches share sweeps within a session; inspect it with
   :func:`cache_info`.
 
-Resilience semantics are unchanged from the previous API: budgeted
-points retry transient failures with backoff and **degrade** to the
-analytical miss model (``degraded=True``) on exhaustion; parallel
-sweeps run points in supervised child processes with crash isolation
-and quarantine (:mod:`repro.resilience.pool`); serial and parallel runs
-share journal format and fingerprint, so either resumes the other.
-Degraded points are journaled but never written to the point store —
-a stand-in must not outlive the incident that caused it.
+One scheduler, :func:`_run_points`, serves every sweep and every
+``run_point`` with a journal or store. It looks each point up
+(journal, then store), runs the misses on one of two executors and
+records every result once. The pooled executor runs points in
+supervised child processes with crash isolation and quarantine
+(:mod:`repro.resilience.pool`); the in-process executor runs them in
+order as ``run_point`` calls. Both write the same journal format under
+the same fingerprint, so either resumes the other. Budgeted points
+retry transient failures with backoff and **degrade** to the
+analytical miss model (``degraded=True``) on exhaustion. Degraded
+points are journaled but never written to the point store — a
+stand-in must not outlive the incident that caused it.
 
 Durable sweeps (journal and/or store) additionally get **graceful
 draining** (:mod:`repro.resilience.signals`): the first SIGINT/SIGTERM
@@ -62,7 +63,7 @@ import logging
 import math
 import os
 import time
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 from functools import lru_cache
 from typing import Mapping
 
@@ -355,7 +356,6 @@ def _analytic_point(kernel: str, strategy: str, n: int,
                                      line, refs_per_iter)
         return min(1.0, pred.miss_rate)
 
-    metrics.inc("repro.runner.points", mode="analytic")
     l1_rate = rate_at(cfg.l1)
     l2_rate = min(rate_at(cfg.l2), l1_rate)
     l1_misses = round(l1_rate * refs)
@@ -531,7 +531,7 @@ def _store_lookup(store: PointStore, fingerprint_: str,
 
 
 # ----------------------------------------------------------------------
-# the unified point entry
+# the point entry and the sweep scheduler
 # ----------------------------------------------------------------------
 
 def _compute_point(kernel: str, strategy: str, n: int,
@@ -542,7 +542,8 @@ def _compute_point(kernel: str, strategy: str, n: int,
                    trace_form: str = "auto") -> PointResult:
     """Exact simulation under ``budget``, degrading to the model.
 
-    The shared core of serial resilient execution and the pool worker:
+    A non-plain point's computation, in the calling process
+    (:func:`run_point`) or in a pool worker (:func:`_pool_point_task`):
     retryable failures retry with backoff; budget exhaustion (or
     exhausted retries) degrades to the analytic miss model with
     ``degraded=True``.
@@ -550,14 +551,12 @@ def _compute_point(kernel: str, strategy: str, n: int,
     budget = budget or PointBudget()
     clock = faults.active_clock()
     try:
-        result = run_with_retries(
+        return run_with_retries(
             lambda: _simulate_exact(kernel, strategy, n, cfg,
                                     budget=budget, chunk_size=chunk_size,
                                     extrapolate=extrapolate,
                                     trace_form=trace_form, clock=clock),
             budget, sleep=faults.active_sleep())
-        metrics.inc("repro.runner.points", mode="exact")
-        return result
     except (BudgetExceededError, RetryableError) as exc:
         log.warning("point %s/%s/N=%d degraded to the analytic model "
                     "(%s: %s)", kernel, strategy, n,
@@ -573,63 +572,37 @@ def run_point(kernel: str, strategy: str, n: int,
               policy: PointPolicy | None = None) -> PointResult:
     """Simulate one configuration under ``policy``.
 
-    The default policy is the memoized exact fast path. A policy with
-    ``analytic=True`` returns the miss-model estimate; one carrying a
-    journal and/or store serves the point from the first cache layer
-    that has it (journal, then store) and records new results back; a
-    ``budget`` adds retry/degrade bounds; ``chunk_size`` bounds trace
-    memory. See :class:`~repro.experiments.options.PointPolicy`.
+    A policy with a journal and/or store is a one-point sweep through
+    :func:`_run_points`: the point is served from the first cache layer
+    that has it (journal, then store), otherwise computed here and
+    recorded back. Every other policy computes the point in this
+    process as one ``point`` span: the default policy on the memoized
+    exact fast path, ``analytic=True`` from the miss model, and a
+    budget, chunk bound, extrapolation or forced trace form by exact
+    simulation around the memo. See
+    :class:`~repro.experiments.options.PointPolicy`.
     """
     cfg = cfg or ExperimentConfig()
     policy = policy or PointPolicy()
+    if not policy.analytic and (policy.journal is not None
+                                or policy.store is not None):
+        key = (kernel, strategy, n)
+        return _run_points([key], cfg, policy)[key]
     with events.span("point", kernel=kernel, strategy=strategy, n=n) as sp:
         if policy.plain:
             result = _run_point_cached(kernel, strategy, n, cfg)
-            sp["degraded"] = result.degraded
-            metrics.inc("repro.runner.points", mode="exact")
-            return result
-        if policy.analytic:
+        elif policy.analytic:
             result = _analytic_point(kernel, strategy, n, cfg)
             sp["source"] = "analytic"
-            sp["degraded"] = True
-            return result
-
-        key = (kernel, strategy, n)
-        if policy.journal is not None:
-            payload = policy.journal.get(key)
-            if payload is not None:
-                result = _point_from_payload(payload)
-                sp["source"] = "journal"
-                sp["degraded"] = result.degraded
-                metrics.inc("repro.runner.points", mode="journal")
-                return result
-        if policy.store is not None:
-            result = _store_lookup(policy.store, config_fingerprint(cfg), key)
-            if result is not None:
-                sp["source"] = "store"
-                sp["degraded"] = result.degraded
-                metrics.inc("repro.runner.points", mode="store")
-                if policy.journal is not None:
-                    # Promote into this sweep's checkpoint so a resumed
-                    # run skips the store round-trip too.
-                    policy.journal.record(key, _point_to_payload(result))
-                return result
-
-        result = _compute_point(kernel, strategy, n, cfg,
-                                policy.budget, policy.chunk_size,
-                                policy.extrapolate, policy.trace_form)
+        else:
+            result = _compute_point(kernel, strategy, n, cfg, policy.budget,
+                                    policy.chunk_size, policy.extrapolate,
+                                    policy.trace_form)
         sp["degraded"] = result.degraded
-        payload = _point_to_payload(result)
-        if policy.journal is not None:
-            policy.journal.record(key, payload)
-        if policy.store is not None and not result.degraded:
-            policy.store.put(config_fingerprint(cfg), key, payload)
-        return result
+        metrics.inc("repro.runner.points",
+                    mode="analytic" if result.degraded else "exact")
+    return result
 
-
-# ----------------------------------------------------------------------
-# sweeps
-# ----------------------------------------------------------------------
 
 def _pool_point_task(args) -> dict:
     """Worker-side pool entry: compute one point, return its payload.
@@ -643,105 +616,109 @@ def _pool_point_task(args) -> dict:
     return _point_to_payload(_compute_point(*args))
 
 
-def _sweep_parallel(kernel: str, strategies: list[str], sizes: list[int],
-                    cfg: ExperimentConfig, *,
-                    journal: CheckpointJournal | None,
-                    store: PointStore | None,
-                    budget: PointBudget | None,
-                    workers: int,
-                    point_timeout: float | None,
-                    chunk_size: int | None,
-                    extrapolate: bool = False,
-                    trace_form: str = "auto",
-                    drain: DrainState | None = None,
-                    status=None,
-                    ) -> dict[str, list[PointResult]]:
-    """Run sweep points through the supervised process pool.
+def _run_points(keys: list[tuple], cfg: ExperimentConfig,
+                policy: PointPolicy, *, workers: int = 1,
+                point_timeout: float | None = None,
+                drain: DrainState | None = None,
+                status=None) -> dict[tuple, PointResult]:
+    """The sweep scheduler: serve, compute and record ``keys`` under ``cfg``.
 
-    Journal and store hits are served without spawning a worker;
-    everything else fans out. The supervisor validates every payload,
-    records it to the journal and store (single writer — workers never
-    touch either), and quarantines repeatedly-failing points to the
-    analytic model — the sweep always returns a full grid.
+    1. **Lookup** — the journal, then the store; a store hit is promoted
+       into the journal. Every hit passes :func:`_check_payload`.
+    2. **Execute** the misses. With ``workers > 1`` they go to the
+       supervised pool (:func:`~repro.resilience.pool.run_supervised`):
+       a crashed, hung or ``point_timeout``-exceeding worker is
+       SIGKILLed and retried, and finally quarantined to the analytic
+       model. Otherwise each is one :func:`run_point` in this process,
+       in submission order (never served by the memo when a journal or
+       store is in use); an exception propagates once every earlier
+       point is recorded.
+    3. **Record** each result once: journal, then store (never a
+       degraded point), then a status tick. A point from the journal,
+       the store or the pool also gets its ``repro.runner.points``
+       count and one ``point`` event here; an in-process point already
+       has both from its ``run_point`` span. Workers never touch the
+       journal or the store: this process is their single writer.
+    4. **Drain** — points a requested ``drain`` skipped raise one
+       :class:`~repro.errors.SweepInterrupted`; every completed point
+       is already journaled, so the sweep resumes from the checkpoint.
     """
-    from repro.resilience.pool import PoolPolicy, run_supervised
-
-    fp = config_fingerprint(cfg)
+    journal, store = policy.journal, policy.store
+    fp = config_fingerprint(cfg) if store is not None else None
     results: dict[tuple, PointResult] = {}
-    tasks: list[tuple[tuple, tuple]] = []
-    for strategy in strategies:
-        for n in sizes:
-            key = (kernel, strategy, n)
-            payload = journal.get(key) if journal is not None else None
-            if payload is not None:
-                results[key] = _check_payload(key, payload)
-                metrics.inc("repro.runner.points", mode="journal")
-                events.emit("point", kernel=kernel, strategy=strategy, n=n,
-                            degraded=results[key].degraded, source="journal")
-                if status is not None:
-                    status.point_done(degraded=results[key].degraded)
-                continue
-            hit = (_store_lookup(store, fp, key)
-                   if store is not None else None)
-            if hit is not None:
-                results[key] = hit
-                metrics.inc("repro.runner.points", mode="store")
-                events.emit("point", kernel=kernel, strategy=strategy, n=n,
-                            degraded=hit.degraded, source="store")
-                if status is not None:
-                    status.point_done(degraded=hit.degraded)
-                if journal is not None:
-                    journal.record(key, _point_to_payload(hit))
-                continue
-            tasks.append((key, (kernel, strategy, n, cfg, budget,
-                                chunk_size, extrapolate, trace_form)))
 
-    retry_policy = budget or PointBudget()
-    policy = PoolPolicy(workers=workers, point_timeout=point_timeout,
-                        max_retries=retry_policy.max_retries,
-                        backoff_seconds=retry_policy.backoff_seconds)
-
-    def fallback(key, args) -> dict:
-        k, s, n, cfg_ = args[:4]
-        return _point_to_payload(_analytic_point(k, s, n, cfg_))
-
-    def on_result(key, payload, quarantined) -> None:
-        result = _check_payload(key, payload)
+    def record(key: tuple, result: PointResult, source: str | None) -> None:
         results[key] = result
-        if not quarantined:
-            # Quarantined fallbacks already counted mode="analytic"
-            # inside _analytic_point (supervisor side).
-            metrics.inc("repro.runner.points",
-                        mode="analytic" if result.degraded else "exact")
-        events.emit("point", kernel=key[0], strategy=key[1], n=key[2],
-                    degraded=result.degraded,
-                    source="quarantine" if quarantined else "worker")
+        cached = source in ("journal", "store")
+        payload = _point_to_payload(result)
+        if journal is not None and source != "journal":
+            journal.record(key, payload)
+        if store is not None and not cached and not result.degraded:
+            store.put(fp, key, payload)
+        if source is not None:
+            metrics.inc("repro.runner.points", mode=(
+                source if cached else "analytic" if result.degraded
+                else "exact"))
+            events.emit("point", kernel=key[0], strategy=key[1], n=key[2],
+                        degraded=result.degraded, source=source)
         if status is not None:
             status.point_done(degraded=result.degraded,
-                              quarantined=quarantined)
-        if journal is not None:
-            journal.record(key, payload)
-        if store is not None and not result.degraded:
-            store.put(fp, key, payload)
+                              quarantined=source == "quarantine")
 
-    if tasks:
+    misses = []
+    for key in keys:
+        payload = journal.get(key) if journal is not None else None
+        if payload is not None:
+            record(key, _check_payload(key, payload), "journal")
+            continue
+        hit = _store_lookup(store, fp, key) if store is not None else None
+        if hit is not None:
+            record(key, hit, "store")
+        else:
+            misses.append(key)
+
+    skipped = 0
+    if workers > 1 and misses:
+        from repro.resilience.pool import PoolPolicy, run_supervised
+
+        retry = policy.budget or PointBudget()
         log.info("parallel sweep %s: %d points across %d workers "
-                 "(timeout %s)", kernel, len(tasks), workers,
+                 "(timeout %s)", misses[0][0], len(misses), workers,
                  f"{point_timeout}s" if point_timeout else "none")
-        outcomes = run_supervised(_pool_point_task, tasks, policy,
-                                  validate=_check_payload, fallback=fallback,
-                                  on_result=on_result, drain=drain,
-                                  observer=status)
+        args = (cfg, policy.budget, policy.chunk_size, policy.extrapolate,
+                policy.trace_form)
+        outcomes = run_supervised(
+            _pool_point_task, [(key, (*key, *args)) for key in misses],
+            PoolPolicy(workers=workers, point_timeout=point_timeout,
+                       max_retries=retry.max_retries,
+                       backoff_seconds=retry.backoff_seconds),
+            validate=_check_payload,
+            fallback=lambda key, _: _point_to_payload(
+                _analytic_point(*key, cfg)),
+            on_result=lambda key, payload, quarantined: record(
+                key, _check_payload(key, payload),
+                "quarantine" if quarantined else "worker"),
+            drain=drain, observer=status)
         skipped = sum(1 for o in outcomes if o.skipped)
-        if skipped:
-            raise SweepInterrupted(
-                f"sweep drained after {drain.signal_name()}: "
-                f"{len(results)} point(s) completed and journaled, "
-                f"{skipped} skipped (resume from the checkpoint)",
-                signum=drain.signum, completed=len(results),
-                skipped=skipped)
-    return {s: [results[(kernel, s, n)] for n in sizes]
-            for s in strategies}
+    else:
+        # A durable point is simulated, never served by the memo: an
+        # explicit (default) budget routes run_point around it.
+        durable = journal is not None or store is not None
+        local = replace(policy, journal=None, store=None,
+                        budget=policy.budget or (PointBudget() if durable
+                                                 else None))
+        for i, key in enumerate(misses):
+            if drain is not None and drain.requested:
+                skipped = len(misses) - i
+                break
+            record(key, run_point(*key, cfg, policy=local), None)
+    if skipped:
+        raise SweepInterrupted(
+            f"sweep drained after {drain.signal_name()}: "
+            f"{len(results)} point(s) completed and journaled, "
+            f"{skipped} skipped (resume from the checkpoint)",
+            signum=drain.signum, completed=len(results), skipped=skipped)
+    return results
 
 
 def sweep(kernel: str, strategies: list[str], sizes: list[int],
@@ -762,18 +739,20 @@ def sweep(kernel: str, strategies: list[str], sizes: list[int],
     * ``parallel`` — points fan out to supervised worker processes
       (:mod:`repro.resilience.pool`): a crashed, hung, or timed-out
       worker is SIGKILLed, retried, and finally quarantined to the
-      analytic model; where multiprocessing is unavailable the sweep
-      degrades to the serial path (``point_timeout`` then applies as a
-      per-point wall-clock budget);
+      analytic model;
     * ``chunk_size`` — trace memory bound (results are bit-for-bit
       independent of it).
 
-    With default options the fast memoized path is used unchanged.
-    Durable sweeps (a journal and/or store) drain gracefully on
+    The points go through one scheduler (:func:`_run_points`), which
+    looks them up, records them and drains, with two executors for the
+    misses: the supervised pool when ``parallel > 1`` and the platform
+    has one, otherwise one :func:`run_point` per point in this process,
+    where ``point_timeout`` becomes a per-point wall budget. With
+    default options that is the memoized fast path. Durable sweeps (a
+    journal and/or store) never read the memo, and drain gracefully on
     SIGINT/SIGTERM: in-flight points finish and journal, then the sweep
     raises :class:`~repro.errors.SweepInterrupted` — resumable, exit
-    code 130 at the CLI. A plain in-memory sweep keeps ordinary Ctrl-C
-    behaviour.
+    code 130 at the CLI. Other sweeps keep ordinary Ctrl-C behaviour.
     """
     from repro.obs import context as obs_context
     from repro.obs.status import StatusPublisher
@@ -787,59 +766,34 @@ def sweep(kernel: str, strategies: list[str], sizes: list[int],
                                      kernel=kernel)
     with events.span("sweep", kernel=kernel, strategies=len(strategies),
                      sizes=len(sizes), parallel=options.parallel):
-        use_parallel = options.parallel > 1
-        if use_parallel:
+        workers = options.parallel
+        if workers > 1:
             from repro.resilience import pool
 
             if not pool.available():
                 log.warning("multiprocessing unavailable on this platform; "
                             "running the sweep serially")
-                use_parallel = False
+                workers = 1
         journal = _resolve_journal(options.checkpoint, cfg,
                                    force=options.resume_force)
         store = open_store(options.point_cache)
-        durable = journal is not None or store is not None
-        drain_cm = (graceful_drain() if durable
+        policy = options.point_policy(journal, store)
+        if workers > 1:
+            # The pool enforces point_timeout by SIGKILL; workers keep
+            # only the sweep's own budget.
+            policy = replace(policy, budget=options.budget)
+        drain_cm = (graceful_drain()
+                    if journal is not None or store is not None
                     else contextlib.nullcontext(None))
         with drain_cm as drain:
-            if use_parallel:
-                out = _sweep_parallel(kernel, strategies, sizes, cfg,
-                                      journal=journal, store=store,
-                                      budget=options.budget,
-                                      workers=options.parallel,
-                                      point_timeout=options.point_timeout,
-                                      chunk_size=options.chunk_size,
-                                      extrapolate=options.extrapolate,
-                                      trace_form=options.trace_form,
-                                      drain=drain, status=status)
-                if status is not None:
-                    status.finish()
-                return out
-            policy = options.point_policy(journal, store)
-            results: dict[str, list[PointResult]] = {}
-            completed = 0
-            remaining = len(strategies) * len(sizes)
-            for s in strategies:
-                row = []
-                for n in sizes:
-                    if drain is not None and drain.requested:
-                        raise SweepInterrupted(
-                            f"sweep drained after {drain.signal_name()}: "
-                            f"{completed} point(s) completed and "
-                            f"journaled, {remaining} skipped (resume "
-                            f"from the checkpoint)",
-                            signum=drain.signum, completed=completed,
-                            skipped=remaining)
-                    result = run_point(kernel, s, n, cfg, policy=policy)
-                    row.append(result)
-                    completed += 1
-                    remaining -= 1
-                    if status is not None:
-                        status.point_done(degraded=result.degraded)
-                results[s] = row
-            if status is not None:
-                status.finish()
-            return results
+            results = _run_points(
+                [(kernel, s, n) for s in strategies for n in sizes], cfg,
+                policy, workers=workers, point_timeout=options.point_timeout,
+                drain=drain, status=status)
+        if status is not None:
+            status.finish()
+        return {s: [results[(kernel, s, n)] for n in sizes]
+                for s in strategies}
 
 
 # ----------------------------------------------------------------------

@@ -39,16 +39,6 @@ class TestSweepOptions:
         with pytest.raises(ConfigurationError):
             SweepOptions(**bad)
 
-    def test_plain_detection(self):
-        assert SweepOptions().plain
-        assert SweepOptions(parallel=8).plain  # parallelism only batches
-        assert not SweepOptions(budget=PointBudget()).plain
-        assert not SweepOptions(point_cache="/tmp/c").plain
-        assert not SweepOptions(chunk_size=0).plain
-        # extrapolated results carry a provenance flag the shared memo
-        # would misreport, so they must route around it
-        assert not SweepOptions(extrapolate=True).plain
-
     def test_point_policy_projection(self):
         opts = SweepOptions(budget=PointBudget(max_refs=10), chunk_size=64)
         pol = opts.point_policy(journal="J", store="S")

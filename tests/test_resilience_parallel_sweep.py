@@ -9,6 +9,7 @@ result set, the poisoned point carrying ``degraded=True``.
 """
 
 import json
+import shutil
 
 import pytest
 
@@ -17,12 +18,14 @@ from repro.experiments.options import PointPolicy, SweepOptions
 from repro.experiments.runner import (
     _check_payload,
     _point_to_payload,
+    config_fingerprint,
     open_journal,
     run_point,
     sweep,
 )
-from repro.obs import EventBus, MemorySink, events
+from repro.obs import EventBus, MemorySink, events, metrics
 from repro.obs.report import summarize
+from repro.perf import PointStore
 from repro.resilience import faults
 from repro.resilience.pool import available
 
@@ -172,6 +175,93 @@ class TestJournalInterop:
         # The adopted journal's point is served as-is (nk still the
         # original config's) — that is what "trusted as-is" means.
         assert res["Orig"][0].nk == tiny_config.nk
+
+    @staticmethod
+    def _mangled_v2_journal(tmp_path, cfg):
+        """A pre-checksum (v2) journal whose one record holds a string
+        ``l1_misses``: header ``version: 2``, record ``v: 2``, no crc."""
+        key = ("JACOBI", "Orig", 40)
+        payload = _point_to_payload(run_point(*key, cfg))
+        payload["l1_misses"] = str(payload["l1_misses"])
+        path = tmp_path / "v2.jsonl"
+        lines = [{"kind": "header", "version": 2,
+                  "fingerprint": config_fingerprint(cfg)},
+                 {"kind": "point", "v": 2, "key": list(key),
+                  "payload": payload}]
+        path.write_text("".join(json.dumps(r) + "\n" for r in lines))
+        return path
+
+    @pytest.mark.parametrize("parallel", [1, 2])
+    def test_mangled_v2_record_rejected_by_sweep(self, tmp_path,
+                                                 tiny_config, parallel):
+        # Serial and parallel lookups validate journal hits alike.
+        ckpt = self._mangled_v2_journal(tmp_path, tiny_config)
+        with pytest.raises(CheckpointError, match="l1_misses"):
+            sweep("JACOBI", ["Orig"], [40], tiny_config,
+                  options=SweepOptions(checkpoint=ckpt, parallel=parallel))
+
+    def test_mangled_v2_record_rejected_by_run_point(self, tmp_path,
+                                                     tiny_config):
+        ckpt = self._mangled_v2_journal(tmp_path, tiny_config)
+        policy = PointPolicy(journal=open_journal(ckpt, tiny_config))
+        with pytest.raises(CheckpointError, match="l1_misses"):
+            run_point("JACOBI", "Orig", 40, tiny_config, policy=policy)
+
+
+class TestSerialParallelBookkeeping:
+    """Serial and parallel sweeps keep the same books on a mixed grid.
+
+    A third of the grid starts in the journal, another third in the
+    store; each run starts from an identical copy of both.
+    """
+
+    STRATEGIES = ["Orig", "GcdPad", "Pad"]
+
+    @pytest.fixture
+    def seeded(self, tmp_path, tiny_config):
+        root = tmp_path / "seed"
+        root.mkdir()
+        keys = [("JACOBI", s, n) for s in self.STRATEGIES for n in SIZES]
+        journal = open_journal(root / "j.jsonl", tiny_config)
+        store = PointStore(root / "store")
+        fp = config_fingerprint(tiny_config)
+        for key in keys[:2]:
+            journal.record(key, _point_to_payload(run_point(*key,
+                                                            tiny_config)))
+        for key in keys[2:4]:
+            store.put(fp, key, _point_to_payload(run_point(*key,
+                                                           tiny_config)))
+        return root
+
+    def _run(self, seeded, tmp_path, cfg, parallel):
+        root = tmp_path / f"p{parallel}"
+        shutil.copytree(seeded, root)
+        sink = MemorySink()
+        with metrics.collect() as reg, events.use(EventBus(sink)):
+            res = sweep("JACOBI", self.STRATEGIES, SIZES, cfg,
+                        options=SweepOptions(checkpoint=root / "j.jsonl",
+                                             point_cache=root / "store",
+                                             parallel=parallel))
+        modes = {c["labels"]["mode"]: c["value"]
+                 for c in reg.snapshot()["counters"]
+                 if c["name"] == "repro.runner.points"}
+        recs = [json.loads(line)
+                for line in (root / "j.jsonl").read_text().splitlines()]
+        payloads = {tuple(r["key"]): r["payload"] for r in recs
+                    if r["kind"] == "point"}
+        s = summarize(sink.records)
+        return res, payloads, modes, (s.points, s.journal_hits, s.degraded)
+
+    def test_serial_and_parallel_books_agree(self, seeded, tmp_path,
+                                             tiny_config):
+        serial = self._run(seeded, tmp_path, tiny_config, 1)
+        par = self._run(seeded, tmp_path, tiny_config, 2)
+        assert par[0] == serial[0]
+        assert par[1] == serial[1] and len(serial[1]) == 6
+        assert serial[2] == {"journal": 2, "store": 2, "exact": 2}
+        assert par[2] == serial[2]
+        assert serial[3] == (6, 2, 0)
+        assert par[3] == serial[3]
 
 
 class TestCheckPayloadRegressions:
