@@ -37,10 +37,10 @@ loop. The one engine path a classifier changes is the closed-form run
 path at L1, which builds no per-access mask: a classified L1
 materializes its run windows. Classification is incompatible with
 K-plane extrapolation (:mod:`repro.experiments.extrapolate`) — skipped
-planes are never simulated, so their misses cannot be classified; the
-runner gives extrapolation precedence and attaches no classifiers to
-points that request it, so such points record no
-``repro.sim.miss_class``.
+planes are never simulated, so their misses could not be classified.
+Classification takes precedence: a classified point is simulated in
+full (extrapolation reason ``classifiers``), so under ``--metrics``
+``repro.sim.miss_class`` always sums to ``repro.sim.misses``.
 """
 
 from __future__ import annotations

@@ -32,6 +32,10 @@ from repro.errors import CacheGeometryError
 
 __all__ = ["DirectMappedCache"]
 
+#: Sets :meth:`DirectMappedCache.tags_equal_shifted` samples before its
+#: full comparison.
+_SHIFT_SAMPLE = 64
+
 
 class DirectMappedCache(CacheLevel):
     """Streaming direct-mapped cache simulator (vectorized).
@@ -99,7 +103,18 @@ class DirectMappedCache(CacheLevel):
                         np.int64(-1))
 
     def tags_equal_shifted(self, base: np.ndarray, d_lines: int) -> bool:
-        """Whether the current tags equal ``base`` shifted by ``d_lines``."""
+        """Whether the current tags equal ``base`` shifted by ``d_lines``.
+
+        A strided sample of :data:`_SHIFT_SAMPLE` sets is compared
+        first, so the common "no" costs O(sample) rather than two copies
+        of the tag array; only the full comparison can answer True.
+        """
+        nsets = self.params.num_sets
+        sets = np.arange(0, nsets, max(1, nsets // _SHIFT_SAMPLE))
+        src = base[(sets - d_lines) % nsets]
+        if not np.array_equal(self._tags[sets],
+                              np.where(src >= 0, src + d_lines, -1)):
+            return False
         return bool(np.array_equal(self._tags,
                                    self.shifted_tags(base, d_lines)))
 

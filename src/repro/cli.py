@@ -46,11 +46,13 @@ Sweeps carrying a checkpoint or point cache drain gracefully on
 SIGINT/SIGTERM: in-flight points finish and journal, the command exits
 130, and re-running resumes from the journal. ``--chunk-size N`` bounds
 the addresses materialized per trace chunk (0 = unbounded; results are
-bit-for-bit identical either way). ``--extrapolate`` enables exact
+bit-for-bit identical either way). Every exact point runs exact
 steady-state K-plane extrapolation: untiled points stop simulating once
 their per-plane statistics provably repeat (shift-equivalent cache
 tags) and the rest is costed in closed form — identical miss counts,
-flagged per point; ineligible points fall back to full simulation.
+flagged per point (``simulate`` prints ``[extrapolated]``); ineligible
+points, and every point under ``--metrics`` (3C classification must see
+every access), are simulated in full.
 
 Observability (every command, flags go after the subcommand name):
 ``--log-json PATH`` records the run's structured event timeline as
@@ -164,25 +166,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="addresses per simulated trace chunk "
                              "(bounds memory; 0 = unbounded; default: "
                              "a ~1M-address bound)")
-        sp.add_argument("--extrapolate", action="store_true",
-                        help="exact steady-state K-plane mode: stop "
-                             "simulating a point once its per-plane "
-                             "statistics provably repeat and "
-                             "extrapolate the rest in closed form "
-                             "(identical results, recorded per point; "
-                             "points where the check never fires are "
-                             "simulated in full; with --metrics, "
-                             "extrapolation still runs and the "
-                             "cold/conflict/capacity miss "
-                             "classification is skipped)")
-        sp.add_argument("--trace-form", choices=["auto", "runs", "flat"],
-                        default="auto",
-                        help="trace representation fed to the simulator "
-                             "(identical statistics): 'runs' = affine "
-                             "(base, stride, count) run compression, "
-                             "'flat' = materialized addresses, 'auto' "
-                             "(default) = runs wherever the point's "
-                             "simulation can consume them")
 
     sp = sub.add_parser("select", help="run one tile-selection strategy",
                         parents=[obsopts])
@@ -447,12 +430,6 @@ def _validate(args) -> None:
         raise ConfigurationError(
             f"--chunk-size must be >= 0 (0 = unbounded), "
             f"got {args.chunk_size}")
-    if (getattr(args, "trace_form", "auto") == "runs"
-            and getattr(args, "extrapolate", False)):
-        raise ConfigurationError(
-            "--extrapolate replays flat per-plane chunks; "
-            "--trace-form runs cannot be forced with it "
-            "(use auto or flat)")
     if args.command == "bench":
         if args.action == "compare" and not args.new:
             raise ConfigurationError(
@@ -495,9 +472,7 @@ def _sweep_options(args):
         point_timeout=getattr(args, "point_timeout", None),
         resume_force=getattr(args, "resume_force", False),
         point_cache=getattr(args, "point_cache", None) or None,
-        chunk_size=getattr(args, "chunk_size", None),
-        extrapolate=getattr(args, "extrapolate", False),
-        trace_form=getattr(args, "trace_form", "auto"))
+        chunk_size=getattr(args, "chunk_size", None))
 
 
 def main(argv: Sequence[str] | None = None) -> int:
@@ -614,12 +589,9 @@ def _dispatch(args) -> int:
         from repro.experiments.runner import open_store, run_point
 
         policy = None
-        if (args.point_cache or args.chunk_size is not None
-                or args.extrapolate or args.trace_form != "auto"):
+        if args.point_cache or args.chunk_size is not None:
             policy = PointPolicy(store=open_store(args.point_cache or None),
-                                 chunk_size=args.chunk_size,
-                                 extrapolate=args.extrapolate,
-                                 trace_form=args.trace_form)
+                                 chunk_size=args.chunk_size)
         p = run_point(args.kernel, args.strategy, args.n, ExperimentConfig(),
                       policy=policy)
         marker = " [extrapolated]" if p.extrapolated else ""

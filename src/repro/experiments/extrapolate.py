@@ -16,24 +16,22 @@ simulated planes simply cycle.
 This module drives a point's simulation plane by plane, watches for
 shift-equivalence (periods 1..:data:`QMAX`), and **stops simulating**
 when it fires — extrapolating the rest exactly, in integer arithmetic.
-It is opt-in (``SweepOptions(extrapolate=True)`` / ``--extrapolate``)
-and conservative: *every* skipped plane is still structurally verified
-(same (I, J) iteration pattern as its cycle counterpart, K advancing
-by one), and any violation fast-forwards the cache state by the proven
-shift and resumes full simulation mid-stream. Points where the
-preconditions never hold (tiled schedules, non-direct-mapped levels,
-mixed plane strides, red-black's alternating parity breaking the
-K-continuity at the color boundary) degrade to full simulation and
-report why.
+It is how the runner simulates every exact point
+(:func:`~repro.experiments.runner._simulate_exact`), in either trace
+form, and it is conservative: *every* skipped plane is still
+structurally verified (same (I, J) iteration pattern as its cycle
+counterpart, K advancing by one), and any violation fast-forwards the
+cache state by the proven shift and resumes full simulation
+mid-stream. Points where the preconditions never hold degrade to full
+simulation and report why.
 
-Ineligible by construction:
+Ineligible by construction (checked in this order):
 
+* **classifiers** — 3C classification must observe every access;
+  skipped planes would leave the shadow caches stale, so a classified
+  point is simulated in full (``reason="classifiers"``);
 * **tiled schedules** — a tile spans all K planes, so there is no
   plane-periodic stream to extrapolate (``reason="tiled_schedule"``);
-* **classifiers** — 3C classification must observe every access;
-  skipped planes would leave the shadow caches stale, so the runner
-  never combines the two (extrapolation wins; see
-  ``_simulate_exact``);
 * **non-direct-mapped levels** — only :class:`DirectMappedCache`
   exposes the tag-array shift primitives
   (``reason="level_not_direct_mapped"``);
@@ -74,7 +72,7 @@ class ExtrapolationReport:
     #: Steady-state period in planes (None when extrapolation never fired).
     period: int | None
     #: Why the point (fully or partially) fell back to simulation:
-    #: ``tiled_schedule`` / ``classifiers`` /
+    #: ``classifiers`` / ``tiled_schedule`` /
     #: ``level_not_direct_mapped`` / ``plane_stride`` /
     #: ``not_plane_periodic`` / ``no_steady_state``; ``None`` when
     #: every remaining plane was extrapolated.
@@ -83,12 +81,12 @@ class ExtrapolationReport:
 
 def _ineligibility(sel, hier: CacheHierarchy, specs) -> str | None:
     """The precondition that rules this point out, or ``None``."""
-    if sel.tiled:
-        return "tiled_schedule"
     if any(c is not None for c in hier.classifiers):
         # Miss classifiers must observe every access; skipped planes
         # would leave the shadow caches stale (see module docstring).
         return "classifiers"
+    if sel.tiled:
+        return "tiled_schedule"
     if not all(isinstance(l, DirectMappedCache) for l in hier.levels):
         return "level_not_direct_mapped"
     planes = {spec.plane for spec in specs.values()}
@@ -107,48 +105,179 @@ def _sig_equal(a, b) -> bool:
 
 
 def _cum(hier: CacheHierarchy) -> tuple[int, ...]:
-    """Cumulative counters as one flat tuple (exact integers)."""
-    out: list[int] = []
-    for lvl in hier.levels:
-        out.append(lvl.stats.accesses)
-        out.append(lvl.stats.misses)
-    out.append(hier.reads)
-    out.append(hier.writes)
-    return tuple(out)
+    """Cumulative counters as one flat tuple (exact integers).
 
-
-def _delta(after: tuple[int, ...], before: tuple[int, ...]) -> tuple[int, ...]:
-    return tuple(a - b for a, b in zip(after, before))
+    ``hier.stats()`` flushes the in-flight engine first, so the counts
+    cover every access fed so far.
+    """
+    st = hier.stats()
+    out = [x for _, lvl in st.levels for x in (lvl.accesses, lvl.misses)]
+    return (*out, st.reads, st.writes)
 
 
 def _scaled_sum(deltas: list[tuple[int, ...]], cycles: int,
                 partial: int) -> tuple[int, ...]:
     """``cycles`` full cycles of ``deltas`` plus its first ``partial``."""
-    width = len(deltas[0])
-    total = [0] * width
-    for d in deltas:
-        for i in range(width):
-            total[i] += d[i] * cycles
-    for d in deltas[:partial]:
-        for i in range(width):
-            total[i] += d[i]
-    return tuple(total)
+    return tuple(cycles * sum(col) + sum(col[:partial])
+                 for col in zip(*deltas))
 
 
-def _apply(hier: CacheHierarchy, totals: tuple[int, ...],
-           d_lines: list[int], planes: int) -> None:
-    """Inject extrapolated counters and fast-forward the tag state."""
-    nlev = len(hier.levels)
-    hier.advance_stats(
-        [(totals[2 * i], totals[2 * i + 1]) for i in range(nlev)],
-        reads=totals[2 * nlev], writes=totals[2 * nlev + 1])
-    for lvl, d in zip(hier.levels, d_lines):
-        lvl.apply_tag_shift(planes * d)
+class _PlaneFilter:
+    """The iteration planes of one eligible point, less the extrapolated.
+
+    :meth:`planes` is the iteration stream fed through ``trace_chunks``
+    into the point's single ``CacheHierarchy.run``. Whenever it resumes
+    after yielding a plane, that plane has been fed to the engine, so
+    :func:`_cum` reads the counters after exactly that plane; between
+    planes it snapshots the tags, tests shift-equivalence, and commits
+    skipped planes by advancing the counters and shifting the tags.
+    """
+
+    def __init__(self, hier: CacheHierarchy, d_lines: list[int]):
+        self.hier = hier
+        #: Lines one K step shifts each level's stream by.
+        self.d_lines = d_lines
+        self.simulated = 0
+        self.skipped = 0
+        self.period: int | None = None
+        self.reason: str | None = None
+
+    def report(self) -> ExtrapolationReport:
+        fired = self.skipped > 0
+        return ExtrapolationReport(
+            fired=fired, planes_simulated=self.simulated,
+            planes_skipped=self.skipped,
+            period=self.period if fired else None, reason=self.reason)
+
+    def _snapshot(self) -> list[np.ndarray]:
+        return [lvl.tags_snapshot() for lvl in self.hier.levels]
+
+    def _shift_period(self, tag_hist, sig_hist, max_p: int) -> int:
+        """The smallest proven steady-state period, or 0."""
+        # Outer levels first: their tags settle last, so they reject
+        # a non-steady state soonest.
+        levels = list(zip(self.hier.levels, self.d_lines))[::-1]
+        for p in range(1, max_p + 1):
+            # The signature must repeat too (same iteration pattern one
+            # period back), else a tag coincidence between structurally
+            # different planes could arm a cycle whose very first skip
+            # check then fails.
+            if len(sig_hist) <= p or not _sig_equal(sig_hist[-1],
+                                                    sig_hist[-1 - p]):
+                continue
+            base = tag_hist[-1 - p][::-1]
+            if all(lvl.tags_equal_shifted(b, p * d)
+                   for (lvl, d), b in zip(levels, base)):
+                return p
+        return 0
+
+    def _commit(self, deltas: list[tuple[int, ...]], planes: int) -> None:
+        """Account ``planes`` skipped planes of the cycle ``deltas`` and
+        fast-forward the tags by as many plane shifts."""
+        if not planes:
+            return
+        hier = self.hier
+        totals = _scaled_sum(deltas, planes // len(deltas),
+                             planes % len(deltas))
+        nlev = len(hier.levels)
+        hier.advance_stats(
+            [(totals[2 * i], totals[2 * i + 1]) for i in range(nlev)],
+            reads=totals[2 * nlev], writes=totals[2 * nlev + 1])
+        for lvl, d in zip(hier.levels, self.d_lines):
+            lvl.apply_tag_shift(planes * d)
+        self.skipped += planes
+
+    def planes(self, chunks):
+        """Yield the ``(I, J, K)`` chunks that must be simulated."""
+        hier = self.hier
+        # Detection history, valid within one K-continuous run of planes.
+        tag_hist: deque = deque(maxlen=QMAX + 1)   # state after each plane
+        delta_hist: deque = deque(maxlen=QMAX)     # per-plane counter deltas
+        sig_hist: deque = deque(maxlen=QMAX + 1)   # per-plane (I, J) arrays
+
+        def restart() -> None:
+            tag_hist.clear()
+            delta_hist.clear()
+            sig_hist.clear()
+            tag_hist.append(self._snapshot())
+
+        restart()
+        prev_cum = _cum(hier)
+        prev_k: int | None = None
+        # The proven cycle's (signatures, deltas) while skipping.
+        cycle: tuple[list, list] | None = None
+        run = 0
+        next_k = 0
+
+        chunks = iter(chunks)
+        for i, j, k in chunks:
+            if i.size == 0:
+                continue
+            kval = int(k[0])
+            plane_like = bool((k == kval).all())
+            sig = (i, j)
+
+            if cycle is not None:
+                sigs, deltas = cycle
+                if (plane_like and kval == next_k
+                        and _sig_equal(sig, sigs[run % len(sigs)])):
+                    run += 1
+                    next_k += 1
+                    continue
+                # The stream stopped repeating (red-black color
+                # boundary, end-of-pass wrap, ...): commit what was
+                # proven, restore the exact state by shifting, and
+                # resume simulation. Nothing was fed since the last
+                # plane's flush, so the levels hold the exact state.
+                self._commit(deltas, run)
+                cycle = None
+                run = 0
+                restart()
+                prev_cum = _cum(hier)
+                prev_k = None
+
+            if not plane_like:
+                # Not a plane-periodic stream after all: simulate this
+                # chunk and everything behind it, detection off for good.
+                self.reason = "not_plane_periodic"
+                yield i, j, k
+                yield from chunks
+                return
+
+            if prev_k is not None and kval != prev_k + 1:
+                # K discontinuity: earlier snapshots no longer sit one
+                # plane-shift apart, so detection restarts here.
+                restart()
+
+            yield i, j, k
+            self.simulated += 1
+            cum = _cum(hier)
+            delta_hist.append(tuple(a - b for a, b in zip(cum, prev_cum)))
+            prev_cum = cum
+            tag_hist.append(self._snapshot())
+            sig_hist.append(sig)
+            prev_k = kval
+
+            p = self._shift_period(tag_hist, sig_hist,
+                                   min(QMAX, len(delta_hist)))
+            if p:
+                cycle = (list(sig_hist)[-p:], list(delta_hist)[-p:])
+                self.period = p
+                next_k = kval + 1
+
+        if cycle is not None:
+            # Ran off the end of the trace while extrapolating: commit.
+            self._commit(cycle[1], run)
+        elif self.reason is None:
+            # The final segment was simulated to the end without
+            # reaching (or after falling out of) steady state.
+            self.reason = "no_steady_state"
 
 
 def simulate_extrapolated(kern, sel, schedule, hier: CacheHierarchy, *,
                           inter_pad: int | None = None,
                           chunk_size: int | None = None,
+                          trace_form: str = "runs",
                           on_chunk=None
                           ) -> tuple[HierarchyStats, ExtrapolationReport]:
     """Simulate a point, extrapolating steady-state planes exactly.
@@ -158,7 +287,9 @@ def simulate_extrapolated(kern, sel, schedule, hier: CacheHierarchy, *,
     extrapolation fires, partially fires, or never does (the
     differential tests in ``tests/test_extrapolate.py`` hold it to
     that) — but skips the simulation of planes whose statistics are
-    already determined by shift-equivalence. ``on_chunk`` keeps its
+    already determined by shift-equivalence. Either way the point is
+    one ``hier.run`` call over ``trace_form`` chunks (``"runs"`` or
+    ``"flat"``, identical statistics). ``on_chunk`` keeps its
     ``CacheHierarchy.run`` meaning (budget deadlines, fault ticks) and
     only fires for chunks actually simulated.
     """
@@ -166,135 +297,19 @@ def simulate_extrapolated(kern, sel, schedule, hier: CacheHierarchy, *,
     reason = _ineligibility(sel, hier, specs)
     if reason is not None:
         stats = hier.run(kern.trace(sel, schedule, inter_pad_cache=inter_pad,
-                                    chunk_size=chunk_size, structured=True),
+                                    chunk_size=chunk_size, structured=True,
+                                    trace_form=trace_form),
                          on_chunk=on_chunk)
         return stats, ExtrapolationReport(
             fired=False, planes_simulated=-1, planes_skipped=0,
             period=None, reason=reason)
 
-    refs = kern.refs(specs)
     spec0 = next(iter(specs.values()))
     plane_bytes = spec0.plane * spec0.elem_bytes
-    d_lines = [plane_bytes // p.line_bytes for p in hier.params]
-
-    def simulate_plane(chunk) -> None:
-        hier.run(trace_chunks(iter([chunk]), refs,
-                              max_addresses=chunk_size, structured=True),
-                 on_chunk=on_chunk)
-
-    def snapshot_tags() -> list[np.ndarray]:
-        return [lvl.tags_snapshot() for lvl in hier.levels]
-
-    # Detection history, valid within one K-continuous run of planes.
-    tag_hist: deque = deque(maxlen=QMAX + 1)   # state after each plane
-    delta_hist: deque = deque(maxlen=QMAX)     # per-plane counter deltas
-    sig_hist: deque = deque(maxlen=QMAX + 1)   # per-plane (I, J) arrays
-    tag_hist.append(snapshot_tags())
-    prev_cum = _cum(hier)
-    prev_k: int | None = None
-
-    planes_simulated = 0
-    planes_skipped = 0
-    reason = None
-
-    # Skip-phase state (set when shift-equivalence fires).
-    skipping = False
-    period = 0
-    cycle_sigs: list = []
-    cycle_deltas: list = []
-    skipped_run = 0
-    next_k = 0
-
-    def reset_history() -> None:
-        tag_hist.clear()
-        delta_hist.clear()
-        sig_hist.clear()
-        tag_hist.append(snapshot_tags())
-
-    def fast_forward(m: int) -> None:
-        if m:
-            totals = _scaled_sum(cycle_deltas, m // period, m % period)
-            _apply(hier, totals, d_lines, m)
-
-    chunks = iter(kern.iter_chunks(schedule))
-    for i, j, k in chunks:
-        if i.size == 0:
-            continue
-        kval = int(k[0])
-        plane_like = bool((k == kval).all())
-        sig = (i, j)
-
-        if skipping:
-            if (plane_like and kval == next_k
-                    and _sig_equal(sig, cycle_sigs[skipped_run % period])):
-                skipped_run += 1
-                planes_skipped += 1
-                next_k += 1
-                continue
-            # The stream stopped repeating (red-black color boundary,
-            # end-of-pass wrap, ...): commit what was proven, restore
-            # the exact state by shifting, and resume simulation.
-            fast_forward(skipped_run)
-            skipping = False
-            skipped_run = 0
-            reset_history()
-            prev_cum = _cum(hier)
-            prev_k = None
-
-        if not plane_like:
-            # Not a plane-periodic stream after all: simulate this
-            # chunk and everything behind it, detection off for good.
-            reason = "not_plane_periodic"
-            simulate_plane((i, j, k))
-            for rest in chunks:
-                simulate_plane(rest)
-            break
-
-        if prev_k is not None and kval != prev_k + 1:
-            # K discontinuity: earlier snapshots no longer sit one
-            # plane-shift apart, so detection restarts here.
-            reset_history()
-
-        simulate_plane((i, j, k))
-        planes_simulated += 1
-        cum = _cum(hier)
-        delta_hist.append(_delta(cum, prev_cum))
-        prev_cum = cum
-        tag_hist.append(snapshot_tags())
-        sig_hist.append(sig)
-        prev_k = kval
-
-        for p in range(1, min(QMAX, len(delta_hist), len(tag_hist) - 1)
-                       + 1):
-            # The fire condition needs the *signature* periodic too
-            # (same iteration pattern one period back), else a tag
-            # coincidence between structurally different planes could
-            # arm a cycle whose very first skip check then fails.
-            if len(sig_hist) <= p or not _sig_equal(sig_hist[-1],
-                                                    sig_hist[-1 - p]):
-                continue
-            base = tag_hist[-1 - p]
-            if all(lvl.tags_equal_shifted(b, p * d)
-                   for lvl, b, d in zip(hier.levels, base, d_lines)):
-                skipping = True
-                period = p
-                cycle_sigs = list(sig_hist)[-p:]
-                cycle_deltas = list(delta_hist)[-p:]
-                skipped_run = 0
-                next_k = kval + 1
-                break
-
-    if skipping:
-        # Ran off the end of the trace while extrapolating: commit.
-        fast_forward(skipped_run)
-
-    fired = planes_skipped > 0
-    if reason is None and not skipping:
-        # The final segment was simulated to the end without reaching
-        # (or after falling out of) steady state.
-        reason = "no_steady_state"
-    return hier.stats(), ExtrapolationReport(
-        fired=fired, planes_simulated=planes_simulated,
-        planes_skipped=planes_skipped,
-        period=period if fired else None,
-        reason=reason)
+    planes = _PlaneFilter(hier, [plane_bytes // p.line_bytes
+                                 for p in hier.params])
+    stats = hier.run(trace_chunks(planes.planes(kern.iter_chunks(schedule)),
+                                  kern.refs(specs), max_addresses=chunk_size,
+                                  structured=True, form=trace_form),
+                     on_chunk=on_chunk)
+    return stats, planes.report()

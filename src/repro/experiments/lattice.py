@@ -113,9 +113,10 @@ def run_lattice(kernel: str, n: int,
     ``dataclasses.replace``, so fingerprints — and therefore point-store
     entries — are per-geometry. ``options`` carries the execution
     choices that make sense per-cell (store, budget or point timeout,
-    chunk size, extrapolation, trace form), projected through
-    :meth:`SweepOptions.point_policy` exactly as a serial sweep's are;
-    ``checkpoint`` is ignored (see module docstring).
+    chunk size), projected through :meth:`SweepOptions.point_policy`
+    exactly as a serial sweep's are; ``checkpoint`` is ignored (see
+    module docstring). Cells run extrapolation like any exact point;
+    only direct-mapped L1 cells of untiled strategies are eligible.
     """
     cfg = cfg or ExperimentConfig()
     options = options or SweepOptions()

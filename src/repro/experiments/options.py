@@ -53,17 +53,11 @@ class SweepOptions:
                         are reused across processes and across runs
     ``chunk_size``      addresses per simulated trace chunk (``None`` =
                         the generator default, ``0`` = unbounded)
-    ``extrapolate``     exact steady-state K-plane extrapolation
-                        (:mod:`repro.experiments.extrapolate`): stop
-                        simulating once plane statistics provably
-                        repeat; identical results, recorded per point
-    ``trace_form``      ``"auto"`` (default) / ``"runs"`` / ``"flat"``:
-                        how traces reach the simulator. ``auto`` picks
-                        the run-compressed form whenever the point's
-                        simulation can consume it (identical
-                        statistics); forcing a value pins the form for
-                        benchmarking and differential tests
     ==================  ====================================================
+
+    Every exact point runs the steady-state K-plane extrapolation
+    (:mod:`repro.experiments.extrapolate`) over run-compressed traces;
+    neither is an option, since both are exact.
     """
 
     checkpoint: "str | os.PathLike | CheckpointJournal | None" = None
@@ -73,8 +67,6 @@ class SweepOptions:
     resume_force: bool = False
     point_cache: "str | os.PathLike | PointStore | None" = None
     chunk_size: int | None = None
-    extrapolate: bool = False
-    trace_form: str = "auto"
 
     def __post_init__(self) -> None:
         if self.parallel < 1:
@@ -84,7 +76,6 @@ class SweepOptions:
             raise ConfigurationError(
                 f"point_timeout must be positive, got {self.point_timeout}")
         _check_chunk_size(self.chunk_size)
-        _check_trace_form(self.trace_form, self.extrapolate)
 
     def point_policy(self, journal=None, store=None) -> "PointPolicy":
         """The per-point policy this sweep implies in-process.
@@ -100,9 +91,7 @@ class SweepOptions:
         if budget is None and self.point_timeout is not None:
             budget = PointBudget(wall_seconds=self.point_timeout)
         return PointPolicy(budget=budget, journal=journal,
-                           store=store, chunk_size=self.chunk_size,
-                           extrapolate=self.extrapolate,
-                           trace_form=self.trace_form)
+                           store=store, chunk_size=self.chunk_size)
 
 
 @dataclass(frozen=True)
@@ -121,13 +110,10 @@ class PointPolicy:
     ``chunk_size``  addresses per trace chunk (``None`` = default bound,
                     ``0`` = unbounded); affects memory/timing only — the
                     simulated statistics are bit-for-bit independent of it
-    ``extrapolate`` exact steady-state K-plane extrapolation: stop
-                    simulating once plane statistics provably repeat
-                    (identical results; ``PointResult.extrapolated``
-                    records whether it fired)
-    ``trace_form``  ``"auto"`` / ``"runs"`` / ``"flat"`` — how the trace
-                    reaches the simulator (identical statistics; see
-                    :class:`SweepOptions`)
+    ``trace_form``  ``"runs"`` (default, run-compressed) or ``"flat"``
+                    (materialized addresses): how the trace reaches the
+                    simulator. The statistics are identical; benchmarks
+                    and differential tests pin ``"flat"``
     ==============  ========================================================
 
     The default policy (all fields default) is the memoized exact fast
@@ -140,50 +126,37 @@ class PointPolicy:
     journal: "CheckpointJournal | None" = None
     store: "PointStore | None" = None
     chunk_size: int | None = None
-    extrapolate: bool = False
-    trace_form: str = "auto"
+    trace_form: str = "runs"
 
     def __post_init__(self) -> None:
+        from repro.trace.generator import TRACE_FORMS
+
         _check_chunk_size(self.chunk_size)
-        _check_trace_form(self.trace_form, self.extrapolate)
+        if self.trace_form not in TRACE_FORMS:
+            raise ConfigurationError(
+                f"unknown trace_form {self.trace_form!r}; "
+                f"valid: {TRACE_FORMS}")
         if self.analytic and (self.budget is not None
                               or self.chunk_size is not None
-                              or self.extrapolate
-                              or self.trace_form != "auto"):
+                              or self.trace_form != "runs"):
             raise ConfigurationError(
                 "an analytic policy simulates nothing: budget/chunk_size/"
-                "extrapolate/trace_form do not apply")
+                "trace_form do not apply")
 
     @property
     def plain(self) -> bool:
         """True when the memoized exact fast path may serve this point.
 
-        ``extrapolate`` and a forced ``trace_form`` route around the
-        memo too: an extrapolated result carries a provenance flag a
-        shared memo would misreport, and benchmarks force a form to
-        *measure* it, which a memo hit would not.
+        The ``"flat"`` trace form routes around the memo too:
+        benchmarks pin a form to *measure* it, which a memo hit would
+        not.
         """
         return (not self.analytic and self.budget is None
                 and self.journal is None and self.store is None
-                and self.chunk_size is None and not self.extrapolate
-                and self.trace_form == "auto")
+                and self.chunk_size is None and self.trace_form == "runs")
 
 
 def _check_chunk_size(chunk_size: int | None) -> None:
     if chunk_size is not None and chunk_size < 0:
         raise ConfigurationError(
             f"chunk_size must be >= 0 (0 = unbounded), got {chunk_size}")
-
-
-def _check_trace_form(trace_form: str, extrapolate: bool) -> None:
-    from repro.trace.generator import TRACE_FORMS
-
-    valid = ("auto",) + TRACE_FORMS
-    if trace_form not in valid:
-        raise ConfigurationError(
-            f"unknown trace_form {trace_form!r}; valid: {valid}")
-    if extrapolate and trace_form == "runs":
-        raise ConfigurationError(
-            "extrapolate consumes per-plane flat chunks; "
-            "trace_form='runs' cannot be forced with it "
-            "(use 'auto' or 'flat')")

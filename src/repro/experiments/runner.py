@@ -8,7 +8,9 @@ Pipeline per point:
 3. exact reference trace of the selected schedule, streamed in bounded
    address chunks (``chunk_size``) so peak memory is O(chunk), not
    O(trace);
-4. two-level direct-mapped simulation (write-around);
+4. two-level direct-mapped simulation (write-around), with steady-state
+   K planes costed in closed form wherever that is provably exact
+   (:mod:`repro.experiments.extrapolate`);
 5. analytic performance prediction from the miss counts.
 
 Every point runs through one entry point::
@@ -79,6 +81,7 @@ from repro.errors import (
     SweepInterrupted,
 )
 from repro.experiments.config import ExperimentConfig
+from repro.experiments.extrapolate import simulate_extrapolated
 from repro.experiments.options import PointPolicy, SweepOptions
 from repro.ir.stencil import JACOBI_3D, REDBLACK_6PT, RESID_27PT
 from repro.kernels import KERNELS, Schedule
@@ -126,8 +129,8 @@ class PointResult:
     degraded: bool = False
     #: True when steady-state K-plane extrapolation skipped at least
     #: one plane (:mod:`repro.experiments.extrapolate`; the statistics
-    #: are still exact). False for full simulation, including
-    #: ``extrapolate=True`` points that degraded to full simulation.
+    #: are still exact). False for points simulated in full, whatever
+    #: the reason (tiled, classified, no steady state, ...).
     extrapolated: bool = False
 
     @property
@@ -185,25 +188,25 @@ def _simulate_exact(kernel_name: str, strategy: str, n: int,
                     cfg: ExperimentConfig,
                     budget: PointBudget | None = None,
                     chunk_size: int | None = None,
-                    extrapolate: bool = False,
-                    trace_form: str = "auto",
+                    trace_form: str = "runs",
                     clock=time.monotonic) -> PointResult:
     """One exact trace simulation, optionally under a budget's deadline.
 
+    The point runs through
+    :func:`~repro.experiments.extrapolate.simulate_extrapolated`: planes
+    proven shift-equivalent are costed in closed form instead of
+    simulated, and every point the proof does not cover (tiled, a
+    non-direct-mapped level, mixed plane strides, classified) is
+    simulated in full; the statistics are identical either way.
     ``chunk_size`` bounds the addresses materialized per trace chunk
-    (``None`` = the generator's default bound, ``0`` = unbounded); the
-    simulated statistics are bit-for-bit identical for every value.
-    ``extrapolate`` enables the exact steady-state K-plane mode
-    (:mod:`repro.experiments.extrapolate`): identical statistics, but
-    planes proven shift-equivalent are costed in closed form instead of
-    simulated. Extrapolation disables the shadow miss classifiers
-    (skipped planes could not be classified): when both are requested,
-    the point extrapolates and records no 3C miss classification.
+    (``None`` = the generator's default bound, ``0`` = unbounded) and
+    ``trace_form`` picks the trace representation (``"runs"`` or
+    ``"flat"``); the statistics are bit-for-bit identical for every
+    value of both.
 
-    ``trace_form`` selects the trace representation (statistics are
-    bit-for-bit identical across forms): ``"auto"`` resolves to the
-    run-compressed form unless the point extrapolates, since the
-    extrapolation path replays flat per-plane chunks.
+    While a metrics registry is live (``--metrics``) the levels carry
+    shadow miss classifiers, and classification takes precedence: the
+    point is simulated in full (reason ``classifiers``).
     """
     faults.tick("simulate")
     kern = _kernel_cls(kernel_name)(n, cfg.nk, elem_bytes=cfg.elem_bytes)
@@ -215,11 +218,7 @@ def _simulate_exact(kernel_name: str, strategy: str, n: int,
                 if budget is not None and budget.bounded else None)
     hier = CacheHierarchy(cfg.levels)
     inter_pad = cfg.cs if cfg.inter_pad else None
-    classify = metrics.enabled() and not extrapolate
-    form = trace_form
-    if form == "auto":
-        form = "flat" if extrapolate else "runs"
-    if classify:
+    if metrics.enabled():
         # Shadow-LRU miss classification is a Python-loop cost, so it is
         # attached only when a registry is collecting (``--metrics``).
         specs = kern.specs(sel.di_p, sel.dj_p, inter_pad_cache=inter_pad)
@@ -233,38 +232,26 @@ def _simulate_exact(kernel_name: str, strategy: str, n: int,
         if deadline is not None:
             deadline.check(len(addrs))
 
-    extrapolated = False
     t0 = time.perf_counter()
     with events.span("simulate", kernel=kernel_name, strategy=strategy,
                      n=n) as sp:
-        if extrapolate:
-            from repro.experiments.extrapolate import simulate_extrapolated
-
-            stats, xrep = simulate_extrapolated(
-                kern, sel, schedule, hier, inter_pad=inter_pad,
-                chunk_size=chunk_size, on_chunk=on_chunk)
-            extrapolated = xrep.fired
-            sp["extrapolated"] = xrep.fired
-            events.emit("extrapolate", kernel=kernel_name,
-                        strategy=strategy, n=n, fired=xrep.fired,
-                        period=xrep.period,
-                        planes_simulated=xrep.planes_simulated,
-                        planes_skipped=xrep.planes_skipped,
-                        reason=xrep.reason)
-            metrics.inc("repro.cache.extrapolation",
-                        outcome="fired" if xrep.fired else "fallback",
-                        reason=xrep.reason or "none")
-            if xrep.planes_skipped:
-                metrics.inc("repro.cache.extrapolation_planes_skipped",
-                            xrep.planes_skipped)
-        else:
-            stats = hier.run(
-                kern.trace(sel, schedule, inter_pad_cache=inter_pad,
-                           chunk_size=chunk_size, structured=True,
-                           trace_form=form),
-                on_chunk=on_chunk)
+        stats, xrep = simulate_extrapolated(
+            kern, sel, schedule, hier, inter_pad=inter_pad,
+            chunk_size=chunk_size, trace_form=trace_form,
+            on_chunk=on_chunk)
+        sp["extrapolated"] = xrep.fired
+        events.emit("extrapolate", kernel=kernel_name, strategy=strategy,
+                    n=n, fired=xrep.fired, period=xrep.period,
+                    planes_simulated=xrep.planes_simulated,
+                    planes_skipped=xrep.planes_skipped, reason=xrep.reason)
         sp["refs"] = stats.demand_refs
     if metrics.enabled():
+        metrics.inc("repro.cache.extrapolation",
+                    outcome="fired" if xrep.fired else "fallback",
+                    reason=xrep.reason or "none")
+        if xrep.planes_skipped:
+            metrics.inc("repro.cache.extrapolation_planes_skipped",
+                        xrep.planes_skipped)
         _record_sim_metrics(hier, stats, time.perf_counter() - t0)
 
     l1_rate = stats.global_miss_rate(0, include_writes=cfg.include_writes)
@@ -287,7 +274,7 @@ def _simulate_exact(kernel_name: str, strategy: str, n: int,
         refs=stats.demand_refs, mflops=perf.mflops, seconds=perf.seconds,
         tile=sel.tile.as_tuple() if sel.tile else None,
         di_p=sel.di_p, dj_p=sel.dj_p,
-        extrapolated=extrapolated,
+        extrapolated=xrep.fired,
     )
 
 
@@ -538,8 +525,7 @@ def _compute_point(kernel: str, strategy: str, n: int,
                    cfg: ExperimentConfig,
                    budget: PointBudget | None,
                    chunk_size: int | None = None,
-                   extrapolate: bool = False,
-                   trace_form: str = "auto") -> PointResult:
+                   trace_form: str = "runs") -> PointResult:
     """Exact simulation under ``budget``, degrading to the model.
 
     A non-plain point's computation, in the calling process
@@ -554,7 +540,6 @@ def _compute_point(kernel: str, strategy: str, n: int,
         return run_with_retries(
             lambda: _simulate_exact(kernel, strategy, n, cfg,
                                     budget=budget, chunk_size=chunk_size,
-                                    extrapolate=extrapolate,
                                     trace_form=trace_form, clock=clock),
             budget, sleep=faults.active_sleep())
     except (BudgetExceededError, RetryableError) as exc:
@@ -578,8 +563,8 @@ def run_point(kernel: str, strategy: str, n: int,
     recorded back. Every other policy computes the point in this
     process as one ``point`` span: the default policy on the memoized
     exact fast path, ``analytic=True`` from the miss model, and a
-    budget, chunk bound, extrapolation or forced trace form by exact
-    simulation around the memo. See
+    budget, chunk bound or the flat trace form by exact simulation
+    around the memo. See
     :class:`~repro.experiments.options.PointPolicy`.
     """
     cfg = cfg or ExperimentConfig()
@@ -596,8 +581,7 @@ def run_point(kernel: str, strategy: str, n: int,
             sp["source"] = "analytic"
         else:
             result = _compute_point(kernel, strategy, n, cfg, policy.budget,
-                                    policy.chunk_size, policy.extrapolate,
-                                    policy.trace_form)
+                                    policy.chunk_size, policy.trace_form)
         sp["degraded"] = result.degraded
         metrics.inc("repro.runner.points",
                     mode="analytic" if result.degraded else "exact")
@@ -685,8 +669,7 @@ def _run_points(keys: list[tuple], cfg: ExperimentConfig,
         log.info("parallel sweep %s: %d points across %d workers "
                  "(timeout %s)", misses[0][0], len(misses), workers,
                  f"{point_timeout}s" if point_timeout else "none")
-        args = (cfg, policy.budget, policy.chunk_size, policy.extrapolate,
-                policy.trace_form)
+        args = (cfg, policy.budget, policy.chunk_size, policy.trace_form)
         outcomes = run_supervised(
             _pool_point_task, [(key, (*key, *args)) for key in misses],
             PoolPolicy(workers=workers, point_timeout=point_timeout,

@@ -271,11 +271,6 @@ class MetricsRegistry:
             "histograms": hists,
         }
 
-    #: Counters whose canonical writer is the supervisor (it counts
-    #: every *accepted* point exactly once in ``on_result``); worker
-    #: snapshots of these would double-count and are skipped on merge.
-    MERGE_SKIP = frozenset({"repro.runner.points"})
-
     def merge(self, snap: dict) -> None:
         """Fold another registry's :meth:`snapshot` into this one.
 
@@ -285,8 +280,6 @@ class MetricsRegistry:
         shards into the supervisor's registry.
         """
         for row in snap.get("counters", []):
-            if row.get("name") in self.MERGE_SKIP:
-                continue
             self.counter(row["name"], **row.get("labels", {})).inc(
                 int(row.get("value", 0)))
         for row in snap.get("histograms", []):

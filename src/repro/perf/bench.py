@@ -147,9 +147,10 @@ def _assoc_cfg(cfg, assoc: int):
 def resolve_trace_form(trace_form: str) -> str:
     """The concrete form a bench with ``trace_form`` times.
 
-    ``"auto"`` resolves to ``"runs"`` — benches attach no miss
-    classifiers and never extrapolate, so the runner's own ``auto``
-    resolution picks the run-compressed form for every benched point.
+    ``"auto"`` resolves to ``"runs"``, the form a default ``run_point``
+    simulates with. The end-to-end stage runs ``_simulate_exact``, so
+    eligible untiled points extrapolate there in either form; the
+    trace, L1 and L2 stages always drive the full trace.
     """
     from repro.trace.generator import TRACE_FORMS
 

@@ -40,7 +40,10 @@ class PointBudget:
 
     Frozen (hashable) so budgeted results can be memoized. ``None``
     disables the corresponding bound; the default budget is unbounded
-    with two retries.
+    with two retries. ``max_refs`` counts references *simulated*, not
+    the point's trace length: planes the steady-state extrapolation
+    skips cost nothing, so an extrapolated point can stay exact under a
+    bound its full trace would exceed.
     """
 
     wall_seconds: float | None = None

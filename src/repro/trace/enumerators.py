@@ -175,16 +175,19 @@ def _parity_rows(starts: np.ndarray, stops, *cols: np.ndarray
 def redblack_naive(n: int, nk: int | None = None) -> Iterator[Chunk]:
     """Figure 12 top: all red points (odd=0) then all black (odd=1).
 
-    Inner loop ``do I = 2+mod(K+J+odd, 2), N-1, 2``.
+    Inner loop ``do I = 2+mod(K+J+odd, 2), N-1, 2``. The start depends
+    on K only through ``(K + odd) % 2``, so the two parities' (I, J)
+    rows are built once and shared by every plane, as
+    :func:`untiled_3d` shares its one plane.
     """
     nk = n if nk is None else nk
     if n < 3 or nk < 3:
         raise TraceError(f"need N, NK >= 3, got {n}, {nk}")
     js = np.arange(2, n, dtype=np.int64)
+    rows = [_parity_rows(2 + (par + js) % 2, n - 1, js) for par in (0, 1)]
     for odd in (0, 1):
         for k in range(2, nk):
-            istart = 2 + (k + js + odd) % 2
-            i, j = _parity_rows(istart, n - 1, js)
+            i, j = rows[(k + odd) % 2]
             yield i, j, np.full(i.size, k, dtype=np.int64)
 
 

@@ -165,8 +165,7 @@ def _refs_by_spec(refs: list[Ref]) -> list[tuple[ArraySpec, list]]:
 _FILL_BLOCK_ELEMENTS = 1 << 17
 
 
-#: Valid ``form`` values for :func:`trace_chunks` (``"auto"`` resolves
-#: to one of these before the generator is built).
+#: Valid ``form`` values for :func:`trace_chunks`.
 TRACE_FORMS = ("flat", "runs")
 
 

@@ -63,6 +63,18 @@ class TestParser:
             ["table3", "--checkpoint", "t.jsonl", "--resume-force"])
         assert a.resume_force
 
+    @pytest.mark.parametrize("command", ["simulate", "table3", "figures",
+                                         "lattice"])
+    @pytest.mark.parametrize("flag", [["--extrapolate"],
+                                      ["--trace-form", "flat"]])
+    def test_simulation_path_flags_are_gone(self, command, flag):
+        # Extrapolation over run-compressed traces is the one exact path.
+        argv = [command, *flag]
+        if command == "simulate":
+            argv += ["--n", "64"]
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(argv)
+
 
 class TestValidation:
     """Usage errors exit 2 with a one-line stderr message, no traceback."""

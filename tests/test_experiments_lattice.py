@@ -156,15 +156,14 @@ class TestOptions:
         assert seen
         return seen
 
-    def test_trace_form_and_point_timeout_reach_run_point(
-            self, monkeypatch, tiny_config_module):
+    def test_point_timeout_reaches_run_point(self, monkeypatch,
+                                             tiny_config_module):
         from repro.experiments.options import SweepOptions
         from repro.resilience import PointBudget
 
         for pol in self._captured_policies(
                 monkeypatch, tiny_config_module,
-                SweepOptions(trace_form="flat", point_timeout=30.0)):
-            assert pol.trace_form == "flat"
+                SweepOptions(point_timeout=30.0)):
             assert pol.budget == PointBudget(wall_seconds=30.0)
 
     def test_default_options_keep_the_memoized_path(self, monkeypatch,

@@ -53,9 +53,6 @@ class TestSweepOptions:
         assert pol.budget == PointBudget(max_refs=10)
         assert SweepOptions().point_policy().plain
 
-    def test_point_policy_carries_extrapolate(self):
-        assert SweepOptions(extrapolate=True).point_policy().extrapolate
-
 
 class TestPointPolicy:
     def test_frozen(self):
@@ -67,7 +64,8 @@ class TestPointPolicy:
         assert not PointPolicy(analytic=True).plain
         assert not PointPolicy(budget=PointBudget()).plain
         assert not PointPolicy(chunk_size=0).plain
-        assert not PointPolicy(extrapolate=True).plain
+        assert PointPolicy(trace_form="runs").plain
+        assert not PointPolicy(trace_form="flat").plain
 
     def test_analytic_excludes_simulation_knobs(self):
         with pytest.raises(ConfigurationError, match="analytic"):
@@ -75,7 +73,7 @@ class TestPointPolicy:
         with pytest.raises(ConfigurationError, match="analytic"):
             PointPolicy(analytic=True, chunk_size=64)
         with pytest.raises(ConfigurationError, match="analytic"):
-            PointPolicy(analytic=True, extrapolate=True)
+            PointPolicy(analytic=True, trace_form="flat")
 
     def test_bad_chunk_size(self):
         with pytest.raises(ConfigurationError, match="chunk_size"):
@@ -96,6 +94,16 @@ class TestLegacyAPIRemoved:
             assert not hasattr(experiments, name)
             assert name not in runner_mod.__all__
             assert name not in experiments.__all__
+
+    def test_simulation_path_knobs_are_gone(self):
+        # Extrapolation and run-compressed traces are the one exact
+        # path; only PointPolicy keeps a trace form (to pin "flat").
+        sweep_fields = {f.name for f in dataclasses.fields(SweepOptions)}
+        policy_fields = {f.name for f in dataclasses.fields(PointPolicy)}
+        assert not {"extrapolate", "trace_form"} & sweep_fields
+        assert "extrapolate" not in policy_fields
+        with pytest.raises(TypeError):
+            SweepOptions(extrapolate=True)
 
     def test_merge_helper_is_gone(self):
         assert not hasattr(options_mod, "merge_deprecated_kwargs")

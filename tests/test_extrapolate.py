@@ -38,6 +38,11 @@ CFG = ExperimentConfig(l1=CacheParams(2048, 32, 1, "L1"),
                        l2=CacheParams(65536, 64, 1, "L2"),
                        machine=ULTRASPARC2_360, nk=8)
 
+#: Trace forms ``simulate_extrapolated`` streams planes in. Each
+#: differential below checks both inside one test (the statistics may
+#: not depend on the form).
+FORMS = ("flat", "runs")
+
 
 def point_setup(kernel, strategy, n, cfg=CFG):
     kern = KERNELS[kernel](n, cfg.nk, elem_bytes=cfg.elem_bytes)
@@ -47,10 +52,11 @@ def point_setup(kernel, strategy, n, cfg=CFG):
     return kern, sel, _schedule_for(strategy, kernel, sel)
 
 
-def run_extrapolated(kernel, strategy, n, cfg=CFG):
+def run_extrapolated(kernel, strategy, n, cfg=CFG, form="runs"):
     kern, sel, schedule = point_setup(kernel, strategy, n, cfg)
     hier = CacheHierarchy(cfg.levels)
-    return simulate_extrapolated(kern, sel, schedule, hier)
+    return simulate_extrapolated(kern, sel, schedule, hier,
+                                 trace_form=form)
 
 
 def run_full(kernel, strategy, n, cfg=CFG):
@@ -65,14 +71,27 @@ def assert_same_stats(a, b):
         assert (na, sa.accesses, sa.misses) == (nb, sb.accesses, sb.misses)
 
 
+def reports_over_forms(kernel, strategy, n, cfg=CFG):
+    """Each form's report, after checking its statistics bit for bit
+    against the full flat simulation."""
+    full = run_full(kernel, strategy, n, cfg)
+    reports = {}
+    for form in FORMS:
+        stats, reports[form] = run_extrapolated(kernel, strategy, n, cfg,
+                                                form)
+        assert_same_stats(stats, full)
+    # The trace form changes the representation, never the proof.
+    assert reports["flat"] == reports["runs"]
+    return reports["runs"]
+
+
 @pytest.mark.parametrize("kernel", ["JACOBI", "RESID", "REDBLACK"])
 @pytest.mark.parametrize("n", [64, 100])
 def test_fired_statistics_are_bit_identical(kernel, n):
-    stats, report = run_extrapolated(kernel, "Orig", n)
+    report = reports_over_forms(kernel, "Orig", n)
     assert report.fired
     assert report.planes_skipped > 0
     assert report.reason is None
-    assert_same_stats(stats, run_full(kernel, "Orig", n))
 
 
 def test_redblack_detects_period_two():
@@ -90,50 +109,48 @@ def test_jacobi_detects_period_one():
 
 
 def test_fallback_reason_tiled_schedule():
-    stats, report = run_extrapolated("JACOBI", "GcdPad", 64)
+    report = reports_over_forms("JACOBI", "GcdPad", 64)
     assert not report.fired
     assert report.reason == "tiled_schedule"
     assert report.planes_simulated == -1
-    assert_same_stats(stats, run_full("JACOBI", "GcdPad", 64))
 
 
 def test_fallback_reason_plane_stride():
     # 90*90*8 bytes is not a multiple of the 64-byte L2 line, so planes
     # do not shift tags by a whole number of lines.
-    stats, report = run_extrapolated("JACOBI", "Orig", 90)
+    report = reports_over_forms("JACOBI", "Orig", 90)
     assert not report.fired
     assert report.reason == "plane_stride"
-    assert_same_stats(stats, run_full("JACOBI", "Orig", 90))
 
 
 def test_fallback_reason_no_steady_state():
     # With the real 2MB L2 the whole tiny grid stays resident: tags
     # never recur shifted, and the run must complete unextrapolated.
     cfg = ExperimentConfig(machine=ULTRASPARC2_360, nk=8)
-    stats, report = run_extrapolated("JACOBI", "Orig", 40, cfg)
+    report = reports_over_forms("JACOBI", "Orig", 40, cfg)
     assert not report.fired
     assert report.planes_skipped == 0
     assert report.reason == "no_steady_state"
-    assert_same_stats(stats, run_full("JACOBI", "Orig", 40, cfg))
 
 
 def test_fallback_reason_classifiers():
     kern, sel, schedule = point_setup("JACOBI", "Orig", 64)
-    hier = CacheHierarchy(CFG.levels)
-    hier.attach_classifiers([MissClassifier(CFG.l1), None])
-    stats, report = simulate_extrapolated(kern, sel, schedule, hier)
-    assert not report.fired
-    assert report.reason == "classifiers"
-    assert_same_stats(stats, run_full("JACOBI", "Orig", 64))
+    full = run_full("JACOBI", "Orig", 64)
+    for form in FORMS:
+        hier = CacheHierarchy(CFG.levels)
+        hier.attach_classifiers([MissClassifier(CFG.l1), None])
+        stats, report = simulate_extrapolated(kern, sel, schedule, hier,
+                                              trace_form=form)
+        assert not report.fired
+        assert report.reason == "classifiers"
+        assert_same_stats(stats, full)
 
 
 def test_fallback_reason_level_not_direct_mapped():
     cfg = ExperimentConfig(l1=CFG.l1,
                            l2=CacheParams(65536, 64, 2, "L2"),
                            machine=ULTRASPARC2_360, nk=8)
-    kern, sel, schedule = point_setup("JACOBI", "Orig", 64, cfg)
-    _, report = simulate_extrapolated(kern, sel, schedule,
-                                      CacheHierarchy(cfg.levels))
+    report = reports_over_forms("JACOBI", "Orig", 64, cfg)
     assert not report.fired
     assert report.reason == "level_not_direct_mapped"
 
@@ -147,64 +164,85 @@ def test_report_is_frozen():
 
 
 def test_shifted_tags_roundtrip():
-    params = CacheParams(2048, 32, 1, "L1")
-    cache = DirectMappedCache(params)
     rng = np.random.default_rng(3)
-    cache.access(rng.integers(0, 1 << 20, size=5000) * 8)
-    base = cache.tags_snapshot()
-    d = 192
-    shifted = cache.shifted_tags(base, d)
-    # Empty sets stay empty; occupied sets move by d lines exactly.
-    assert ((base == -1).sum()) == ((shifted == -1).sum())
-    assert not cache.tags_equal_shifted(base, d)
-    cache.apply_tag_shift(d)
-    assert cache.tags_equal_shifted(base, d)
+    # 64 sets (all sampled) and 1024 sets (every 16th sampled).
+    for params in (CacheParams(2048, 32, 1, "L1"),
+                   CacheParams(65536, 64, 1, "L2")):
+        cache = DirectMappedCache(params)
+        cache.access(rng.integers(0, 1 << 20, size=5000) * 8)
+        base = cache.tags_snapshot()
+        d = 192
+        shifted = cache.shifted_tags(base, d)
+        # Empty sets stay empty; occupied sets move by d lines exactly.
+        assert ((base == -1).sum()) == ((shifted == -1).sum())
+        assert not cache.tags_equal_shifted(base, d)
+        cache.apply_tag_shift(d)
+        assert cache.tags_equal_shifted(base, d)
+        # Only the full comparison may answer True: a difference in a
+        # set the sample skips still reads unequal.
+        cache._tags[1] ^= 1 << 40
+        assert not cache.tags_equal_shifted(base, d)
 
 
 def test_run_point_records_extrapolated_flag():
-    fired = run_point("JACOBI", "Orig", 64, CFG,
-                      policy=PointPolicy(extrapolate=True))
+    # A default run_point extrapolates an eligible (untiled) point and
+    # simulates a tiled one in full; both match the flat full trace.
+    clear_cache()
+    fired = run_point("JACOBI", "Orig", 64, CFG)
     assert fired.extrapolated
-    plain = run_point("JACOBI", "Orig", 64, CFG)
-    assert not plain.extrapolated
-    assert (fired.l1_misses, fired.l2_misses, fired.refs) == \
-        (plain.l1_misses, plain.l2_misses, plain.refs)
+    tiled = run_point("JACOBI", "GcdPad", 64, CFG)
+    assert not tiled.extrapolated
+    for p in (fired, tiled):
+        full = run_full("JACOBI", p.strategy, 64)
+        assert (p.l1_misses, p.l2_misses, p.refs) == \
+            (full.misses(0), full.misses(1), full.demand_refs)
 
 
 def test_run_point_extrapolate_fallback_not_flagged():
-    r = run_point("JACOBI", "GcdPad", 64, CFG,
-                  policy=PointPolicy(extrapolate=True))
-    assert not r.extrapolated  # requested but structurally ineligible
-    plain = run_point("JACOBI", "GcdPad", 64, CFG)
-    assert (r.l1_misses, r.l2_misses) == (plain.l1_misses, plain.l2_misses)
+    # Ineligible by construction: the tiled schedule, in either form.
+    for form in FORMS:
+        r = run_point("JACOBI", "GcdPad", 64, CFG,
+                      policy=PointPolicy(trace_form=form))
+        assert not r.extrapolated
 
 
-def test_sweep_option_marks_points():
-    pts = sweep("JACOBI", ["Orig", "GcdPad"], [64], CFG,
-                options=SweepOptions(extrapolate=True))
+def test_sweep_option_marks_points(tmp_path):
+    # A journaled sweep records the flag per point, and a resume
+    # serves the same flags back from the journal.
+    opts = SweepOptions(checkpoint=tmp_path / "x.jsonl")
+    pts = sweep("JACOBI", ["Orig", "GcdPad"], [64], CFG, options=opts)
     assert pts["Orig"][0].extrapolated
     assert not pts["GcdPad"][0].extrapolated
-    baseline = sweep("JACOBI", ["Orig", "GcdPad"], [64], CFG)
-    for strat in ("Orig", "GcdPad"):
-        assert pts[strat][0].l1_misses == baseline[strat][0].l1_misses
-        assert pts[strat][0].l2_misses == baseline[strat][0].l2_misses
+    assert sweep("JACOBI", ["Orig", "GcdPad"], [64], CFG,
+                 options=opts) == pts
 
 
-def test_metrics_keep_extrapolation_and_skip_classification():
-    """Under ``--metrics`` an extrapolating point still extrapolates;
-    only the 3C miss classification is skipped. Without extrapolation
-    the same point is classified."""
-    with metrics.collect() as reg:
-        fast = run_point("JACOBI", "Orig", 64, CFG,
-                         policy=PointPolicy(extrapolate=True))
-    assert fast.extrapolated
-    assert reg.counter_total("repro.sim.misses") > 0
-    assert reg.counter_total("repro.sim.miss_class") == 0
+def test_extrapolated_point_is_one_engine_run():
+    # The plane filter feeds one CacheHierarchy.run; it never starts
+    # a run per plane.
+    for form in FORMS:
+        with metrics.collect() as reg:
+            _, report = run_extrapolated("JACOBI", "Orig", 64, form=form)
+        assert report.fired
+        assert reg.counter_total("repro.cache.engine_runs") == 1
 
+
+def test_metrics_classify_instead_of_extrapolating():
+    """Under ``--metrics`` classification takes precedence: an eligible
+    point is simulated in full (reason ``classifiers``) and its 3C
+    counts sum to its misses."""
     clear_cache()  # a memo hit would simulate (and classify) nothing
     with metrics.collect() as reg:
-        full = run_point("JACOBI", "Orig", 64, CFG)
-    assert not full.extrapolated
-    assert (full.l1_misses, full.l2_misses) == \
-        (fast.l1_misses, fast.l2_misses)
-    assert reg.counter_total("repro.sim.miss_class") > 0
+        p = run_point("JACOBI", "Orig", 64, CFG)
+    assert not p.extrapolated
+    rows = reg.snapshot()["counters"]
+    reasons = {r["labels"]["reason"] for r in rows
+               if r["name"] == "repro.cache.extrapolation"}
+    assert reasons == {"classifiers"}
+    assert reg.counter_total("repro.sim.misses") > 0
+    assert reg.counter_total("repro.sim.miss_class") == \
+        reg.counter_total("repro.sim.misses")
+    clear_cache()
+    plain = run_point("JACOBI", "Orig", 64, CFG)
+    assert plain.extrapolated
+    assert (p.l1_misses, p.l2_misses) == (plain.l1_misses, plain.l2_misses)

@@ -124,15 +124,6 @@ class TestMerge:
         # Gauges are node-local: never merged.
         assert sup.gauge("repro.pool.workers").value == 0.0
 
-    def test_merge_skips_the_supervisor_owned_point_counter(self):
-        worker = MetricsRegistry()
-        worker.counter("repro.runner.points", mode="exact").inc(5)
-        sup = MetricsRegistry()
-        sup.counter("repro.runner.points", mode="exact").inc(2)
-        sup.merge(worker.snapshot())
-        # on_result already counted each accepted point once.
-        assert sup.counter_total("repro.runner.points") == 2
-
 
 class TestModuleHooks:
     def test_disabled_by_default(self):
