@@ -23,7 +23,7 @@ from repro.experiments.config import ExperimentConfig
 from repro.experiments.options import PointPolicy
 from repro.experiments.runner import run_point
 from repro.perf.bench import (_point_key, bench_assoc_speedup, bench_point,
-                              bench_sweep, bench_trace_speedup, write_bench)
+                              bench_sweep, write_bench)
 from repro.perfmodel.machine import ULTRASPARC2_360
 
 _STAGES = ("trace_seconds", "l1_seconds", "l2_seconds",
@@ -92,43 +92,6 @@ def test_assoc_sweep_beats_scalar_reference(assoc, floor):
     res = bench_assoc_speedup("JACOBI", "Orig", 64, assoc=assoc, repeats=2)
     assert res["addresses"] > 0
     assert res["speedup"] >= floor, res
-
-
-def test_trace_form_differential(tiny_config):
-    """Run-compressed traces must be perf-only: every simulated number
-    a point produces has to match the flat path bit-for-bit."""
-    for kernel in ("JACOBI", "RESID"):
-        for strategy in ("Orig", "GcdPad"):
-            flat = run_point(kernel, strategy, 48, tiny_config,
-                             policy=PointPolicy(trace_form="flat"))
-            runs = run_point(kernel, strategy, 48, tiny_config,
-                             policy=PointPolicy(trace_form="runs"))
-            assert flat == runs, (kernel, strategy)
-
-
-def test_run_trace_generation_beats_flat_2x():
-    """The PR 10 acceptance gate: emitting (base, stride, count) runs
-    must produce the untiled trace at >= 2x the address-matrix fill.
-
-    Measured locally at ~2.5-5x on the JACOBI/RESID interiors; 2x
-    leaves room for runner noise while still catching a silent fall
-    back to materialized chunks.
-    """
-    res = bench_trace_speedup(kernels=("JACOBI", "RESID"),
-                              strategy="Orig", n=96, repeats=2)
-    assert all(r["trace_speedup"] > 0 for r in res["points"])
-    assert all(r["trace_compression"] > 10 for r in res["points"])
-    assert res["geomean_trace_speedup"] >= 2.0, res
-
-
-def test_bench_point_stamps_trace_form(tiny_config):
-    pt = bench_point("JACOBI", "Orig", 48, tiny_config, repeats=1)
-    assert pt["trace_form"] == "runs"
-    assert pt["trace_compression"] >= 1.0
-    flat = bench_point("JACOBI", "Orig", 48, tiny_config, repeats=1,
-                       trace_form="flat")
-    assert flat["trace_form"] == "flat"
-    assert flat["trace_compression"] == 1.0
 
 
 def test_disabled_cache_path_differential(tiny_config):

@@ -33,9 +33,7 @@ classifier every window of that level's input in stream order with
 its program-order miss mask, and the classification is split-invariant,
 so the counts equal those of the per-chunk
 :meth:`CacheHierarchy.access <repro.cache.hierarchy.CacheHierarchy.access>`
-loop. The one engine path a classifier changes is the closed-form run
-path at L1, which builds no per-access mask: a classified L1
-materializes its run windows. Classification is incompatible with
+loop. Classification is incompatible with
 K-plane extrapolation (:mod:`repro.experiments.extrapolate`) — skipped
 planes are never simulated, so their misses could not be classified.
 Classification takes precedence: a classified point is simulated in

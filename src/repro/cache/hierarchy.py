@@ -44,7 +44,6 @@ from repro.cache.two_way import TwoWayCache
 from repro.errors import ConfigurationError
 from repro.obs import metrics
 from repro.trace.generator import TraceChunk
-from repro.trace.runs import RunChunk
 
 __all__ = ["WritePolicy", "CacheHierarchy", "HierarchyStats",
            "EngineSupport", "LevelSupport"]
@@ -115,17 +114,12 @@ class LevelSupport:
     #: ``direct_mapped`` / ``two_way_vectorized`` / ``set_associative``
     #: / ``fully_associative``.
     reason: str
-    #: How the level consumes :class:`~repro.trace.runs.RunChunk`
-    #: input: ``intervals`` — the closed-form per-run decomposition
-    #: drives ``access_grouped`` directly (conflicting or unprofitable
-    #: windows still materialize, exactly); ``demand`` — the level never
-    #: sees runs, only the flat miss-filtered demand of the level above;
-    #: ``materialize`` — runs are expanded to flat addresses first.
+    #: What the level consumes: ``materialize`` at L1 (the trace's
+    #: materialized addresses), ``demand`` below it (the flat
+    #: miss-filtered demand of the level above). The field carries no
+    #: choice; it stays because ``perfbench/tracer.py`` counts
+    #: ``cache.run_mode.<value>`` for every level.
     run_mode: str
-    #: Why ``run_mode`` was chosen: ``direct_mapped`` / ``lru_scan`` /
-    #: ``miss_filtered`` / ``classified`` (a classified L1 needs the
-    #: per-access miss mask the closed form never builds).
-    run_reason: str
 
 
 @dataclass(frozen=True)
@@ -145,11 +139,10 @@ class EngineSupport:
         raise KeyError(name)
 
 
-def _level_support(lvl: CacheLevel, params: CacheParams, idx: int,
-                   classified: bool) -> LevelSupport:
+def _level_support(lvl: CacheLevel, params: CacheParams,
+                   idx: int) -> LevelSupport:
     """Classify one level (see :class:`LevelSupport`)."""
-    direct = isinstance(lvl, DirectMappedCache)
-    if direct:
+    if isinstance(lvl, DirectMappedCache):
         mode, reason = "per_level", "direct_mapped"
     elif isinstance(lvl, TwoWayCache):
         mode, reason = "assoc_scan", "two_way_vectorized"
@@ -157,14 +150,8 @@ def _level_support(lvl: CacheLevel, params: CacheParams, idx: int,
         mode, reason = "assoc_scan", ("fully_associative"
                                       if params.num_sets == 1
                                       else "set_associative")
-    if idx > 0:
-        run_mode, run_reason = "demand", "miss_filtered"
-    elif classified:
-        run_mode, run_reason = "materialize", "classified"
-    else:
-        run_mode, run_reason = "intervals", ("direct_mapped" if direct
-                                             else "lru_scan")
-    return LevelSupport(params.name, mode, reason, run_mode, run_reason)
+    return LevelSupport(params.name, mode, reason,
+                        "materialize" if idx == 0 else "demand")
 
 
 class CacheHierarchy:
@@ -330,22 +317,23 @@ class CacheHierarchy:
         """Typed per-level report of how :meth:`run` will simulate
         (see :class:`EngineSupport`)."""
         return EngineSupport(levels=tuple(
-            _level_support(lvl, p, idx, self._classifiers[idx] is not None)
+            _level_support(lvl, p, idx)
             for idx, (lvl, p) in enumerate(zip(self._levels, self.params))))
 
     def run(self, chunks, on_chunk=None, *,
             partition_strategy: str | None = None) -> HierarchyStats:
         """Consume an iterable of chunks and return the statistics.
 
-        Each chunk is a :class:`~repro.trace.runs.RunChunk`, a
-        :class:`~repro.trace.generator.TraceChunk`, an ``(addresses,
-        is_write)`` pair, or a plain address array. The trace is
-        consumed incrementally, so peak memory stays O(chunk buffer),
-        never O(trace). ``on_chunk(chunk)`` (optional) fires before
-        each chunk is consumed, with the address array — or, for a
-        ``RunChunk``, the run chunk whole (its ``len`` is its address
-        count); the experiment runner uses it for budget deadlines and
-        fault-injection ticks without breaking the streaming structure.
+        Each chunk is a :class:`~repro.trace.generator.TraceChunk`, an
+        ``(addresses, is_write)`` pair, or a plain address array. The
+        trace is consumed incrementally and each chunk is dropped before
+        the next is pulled, so at most one chunk is alive and peak
+        memory stays O(chunk), never O(trace). ``on_chunk(chunk)``
+        (optional) fires before each chunk is consumed, with the
+        ``TraceChunk`` itself (its ``len`` is its address count) or the
+        address array; the experiment runner uses it for budget
+        deadlines and fault-injection ticks without breaking the
+        streaming structure.
 
         Every chunk is driven through the batched
         :class:`~repro.cache.engine.HierarchyEngine` (statistics and
@@ -360,37 +348,31 @@ class CacheHierarchy:
         metrics.inc("repro.cache.engine_runs")
         engine = HierarchyEngine(self._levels, self.params,
                                  self._classifiers, partition_strategy)
-        around = self.write_policy is WritePolicy.WRITE_AROUND
         self._engine = engine
         try:
             for chunk in chunks:
-                if isinstance(chunk, RunChunk):
-                    if on_chunk is not None:
-                        on_chunk(chunk)
-                    self.reads += chunk.reads
-                    self.writes += chunk.writes
-                    engine.feed_runs(
-                        chunk.read_bases if around else chunk.bases,
-                        chunk.strides, chunk.counts)
-                elif isinstance(chunk, TraceChunk):
-                    if on_chunk is not None:
-                        on_chunk(chunk.addresses)
-                    self.reads += chunk.reads
-                    self.writes += chunk.writes
-                    engine.feed(chunk.read_addresses if around
-                                else chunk.addresses)
-                else:
-                    if isinstance(chunk, tuple):
-                        addrs, w = chunk
-                    else:
-                        addrs, w = chunk, None
-                    if on_chunk is not None:
-                        on_chunk(addrs)
-                    engine.feed(self._cacheable(addrs, w))
+                if on_chunk is not None:
+                    on_chunk(chunk[0] if isinstance(chunk, tuple)
+                             else chunk)
+                self._feed(engine, chunk)
+                del chunk   # gone before the next chunk is built
             engine.flush()
         finally:
             self._engine = None
         return self.stats()
+
+    def _feed(self, engine: HierarchyEngine, chunk) -> None:
+        """Count one chunk's reads/writes and feed its cacheable stream."""
+        if isinstance(chunk, TraceChunk):
+            self.reads += chunk.reads
+            self.writes += chunk.writes
+            engine.feed(chunk.read_addresses
+                        if self.write_policy is WritePolicy.WRITE_AROUND
+                        else chunk.addresses)
+        elif isinstance(chunk, tuple):
+            engine.feed(self._cacheable(*chunk))
+        else:
+            engine.feed(self._cacheable(chunk, None))
 
     def stats(self) -> HierarchyStats:
         """Totals for the whole stream, including invalidated epochs."""

@@ -38,7 +38,7 @@ except Exception:  # pragma: no cover - import-environment dependent
     _HAVE_COUNTING = False
 
 __all__ = ["partition", "default_strategy", "counting_available",
-           "PARTITION_STRATEGIES", "run_line_intervals"]
+           "PARTITION_STRATEGIES"]
 
 #: Valid ``strategy`` values for :func:`partition`.
 PARTITION_STRATEGIES = ("counting", "argsort")
@@ -130,89 +130,3 @@ def partition(keys: np.ndarray, num_keys: int,
     np.cumsum(counts, out=bp[1:])
     metrics.inc("repro.cache.partition", strategy="argsort")
     return order, bp
-
-
-# ----------------------------------------------------------------------
-# closed-form decomposition of affine runs (no address expansion)
-# ----------------------------------------------------------------------
-
-def run_line_intervals(bases: np.ndarray, strides: np.ndarray,
-                       counts: np.ndarray, line_shift: int
-                       ) -> tuple[np.ndarray, ...]:
-    """Per-cache-line intervals of affine runs, in closed form.
-
-    Run ``(g, c)`` touches ``bases[g, c] + t * strides[g]`` for
-    ``t = 0 .. counts[g] - 1``. With a positive stride no larger than
-    the line size (``1 << line_shift``), the run's line ids are the
-    consecutive integers ``bases[g,c] >> line_shift`` through
-    ``last >> line_shift``, and the iterations touching line ``L``
-    form the contiguous interval ``ceil((L << line_shift - base) /
-    stride) <= t < ceil(((L+1) << line_shift - base) / stride)`` —
-    all computed with integer vector arithmetic, never expanding an
-    address. (Set indices are the low bits of the line ids, so the
-    same decomposition *is* the per-set sub-run decomposition; their
-    periodicity in ``t`` is what makes the closed form possible.)
-
-    Returns ``(run, q, line, p)``, one row per interval in
-    ``(run, line)`` order, where ``run = g * n_refs + c`` indexes the
-    flattened runs (int32), ``q`` is the interval's ordinal within its
-    run (int32), ``line`` the absolute line id (int64), and ``p`` the
-    interleaved-stream position of the interval's first access
-    (``segment_offset + t_first * n_refs + c``), unique per interval
-    (int32 — the caller bounds windows below 2**31 positions).
-
-    For power-of-two strides (the overwhelmingly common case: unit or
-    constant element-count steps of power-of-two element sizes) the
-    interval start times are *affine in q*: with ``s = 2**sh`` and
-    ``A = (lo << line_shift) - base + s - 1``, interval ``q >= 1``
-    starts at ``t = (A >> sh) + (q << (line_shift - sh))`` exactly,
-    because ``q << line_shift`` is a multiple of ``2**sh`` and floors
-    distribute over it. That removes every per-interval division (and
-    the per-interval shift): ``p`` is one multiply-add off two tiny
-    per-run tables, with the ``q == 0`` entries (which start at
-    ``t = 0`` by definition) patched by a per-run scatter.
-
-    A zero stride is only valid for ``counts[g] == 1`` runs (a single
-    interval). The caller gates eligibility (``0 < stride <=
-    line_bytes``, or ``stride == 0`` with a single iteration); this
-    function assumes it.
-    """
-    nseg, nrefs = bases.shape
-    lo2 = bases >> line_shift
-    hi2 = (bases + (counts[:, None] - 1) * strides[:, None]) >> line_shift
-    m = (hi2 - lo2 + 1).reshape(-1)          # intervals per run
-    total = int(m.sum())
-    nruns = nseg * nrefs
-    run = np.repeat(np.arange(nruns, dtype=np.int32), m)
-    cum = np.zeros(nruns + 1, dtype=np.int32)
-    np.cumsum(m, out=cum[1:])
-    # Everything per-run lives on the (tiny) run axis; the per-interval
-    # arrays are built from it with int32 gathers and arithmetic.
-    rr = np.arange(nruns)
-    g_run = rr // nrefs
-    s_run = np.maximum(strides, 1)[g_run]    # stride 0 => single interval
-    q = np.arange(total, dtype=np.int32)
-    q -= cum[run]
-    line = lo2.reshape(-1)[run]
-    line += q
-    off = np.zeros(nseg + 1, dtype=np.int64)
-    np.cumsum(counts * nrefs, out=off[1:])
-    pc_run = (off[g_run] + rr - g_run * nrefs).astype(np.int32)
-    if bool(np.all(s_run & (s_run - 1) == 0)):
-        sh_run = np.round(np.log2(s_run)).astype(np.int64)
-        a_run = ((lo2.reshape(-1) << line_shift) - bases.reshape(-1)
-                 + s_run - 1)
-        t0_run = a_run >> sh_run
-        step_run = (nrefs << (line_shift - sh_run)).astype(np.int32)
-        p0_run = (t0_run * nrefs + pc_run).astype(np.int32)
-        p = q * step_run[run]
-        p += p0_run[run]
-    else:  # rare: one true ceil-division pass
-        x = line << line_shift
-        x -= bases.reshape(-1)[run]
-        sv = s_run[run]
-        t = (x + sv - 1) // sv
-        np.maximum(t, 0, out=t)
-        p = (t * nrefs + pc_run[run].astype(np.int64)).astype(np.int32)
-    p[cum[:-1]] = pc_run                      # q == 0 starts at t = 0
-    return run, q, line, p

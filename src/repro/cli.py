@@ -272,8 +272,7 @@ def build_parser() -> argparse.ArgumentParser:
                          "(compare only)")
     sp.add_argument("--force", action="store_true",
                     help="compare even when the reports' config "
-                         "fingerprints or trace forms differ "
-                         "(different workloads or representations; "
+                         "fingerprints differ (different workloads; "
                          "speedups are then not meaningful)")
     sp.add_argument("--gate", type=float, metavar="PCT",
                     help="trend only: exit 1 when any point's latest "
@@ -682,12 +681,6 @@ def _dispatch(args) -> int:
 
         if args.action == "trend":
             trend = bench_trend(read_bench_dir(args.old))
-            if not trend["trace_form_stable"] and not args.force:
-                raise ExperimentError(
-                    f"trace forms drift across the history "
-                    f"({', '.join(trend['trace_forms'])}): deltas would "
-                    f"mix the representation change with real "
-                    f"regressions; pass --force to trend anyway")
             print(format_trend(trend, gate=args.gate))
             if args.gate is not None and any(
                     row["regressed_pct"] is not None
@@ -701,13 +694,6 @@ def _dispatch(args) -> int:
                 f"config fingerprints differ ({cmp['old_fingerprint']} vs "
                 f"{cmp['new_fingerprint']}): the reports benched "
                 f"different workloads; pass --force to compare anyway")
-        if not cmp["trace_form_match"] and not args.force:
-            raise ExperimentError(
-                f"trace forms differ ({cmp['old_trace_form']} vs "
-                f"{cmp['new_trace_form']}): the reports timed different "
-                f"trace representations, so speedups conflate the form "
-                f"change with real regressions; pass --force to compare "
-                f"anyway")
         print(format_compare(cmp))
 
     elif args.command == "fsck":

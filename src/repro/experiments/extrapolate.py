@@ -17,8 +17,8 @@ This module drives a point's simulation plane by plane, watches for
 shift-equivalence (periods 1..:data:`QMAX`), and **stops simulating**
 when it fires — extrapolating the rest exactly, in integer arithmetic.
 It is how the runner simulates every exact point
-(:func:`~repro.experiments.runner._simulate_exact`), in either trace
-form, and it is conservative: *every* skipped plane is still
+(:func:`~repro.experiments.runner._simulate_exact`), and it is
+conservative: *every* skipped plane is still
 structurally verified (same (I, J) iteration pattern as its cycle
 counterpart, K advancing by one), and any violation fast-forwards the
 cache state by the proven shift and resumes full simulation
@@ -277,7 +277,6 @@ class _PlaneFilter:
 def simulate_extrapolated(kern, sel, schedule, hier: CacheHierarchy, *,
                           inter_pad: int | None = None,
                           chunk_size: int | None = None,
-                          trace_form: str = "runs",
                           on_chunk=None
                           ) -> tuple[HierarchyStats, ExtrapolationReport]:
     """Simulate a point, extrapolating steady-state planes exactly.
@@ -288,8 +287,7 @@ def simulate_extrapolated(kern, sel, schedule, hier: CacheHierarchy, *,
     differential tests in ``tests/test_extrapolate.py`` hold it to
     that) — but skips the simulation of planes whose statistics are
     already determined by shift-equivalence. Either way the point is
-    one ``hier.run`` call over ``trace_form`` chunks (``"runs"`` or
-    ``"flat"``, identical statistics). ``on_chunk`` keeps its
+    one ``hier.run`` call. ``on_chunk`` keeps its
     ``CacheHierarchy.run`` meaning (budget deadlines, fault ticks) and
     only fires for chunks actually simulated.
     """
@@ -297,8 +295,7 @@ def simulate_extrapolated(kern, sel, schedule, hier: CacheHierarchy, *,
     reason = _ineligibility(sel, hier, specs)
     if reason is not None:
         stats = hier.run(kern.trace(sel, schedule, inter_pad_cache=inter_pad,
-                                    chunk_size=chunk_size, structured=True,
-                                    trace_form=trace_form),
+                                    chunk_size=chunk_size, structured=True),
                          on_chunk=on_chunk)
         return stats, ExtrapolationReport(
             fired=False, planes_simulated=-1, planes_skipped=0,
@@ -310,6 +307,6 @@ def simulate_extrapolated(kern, sel, schedule, hier: CacheHierarchy, *,
                                  for p in hier.params])
     stats = hier.run(trace_chunks(planes.planes(kern.iter_chunks(schedule)),
                                   kern.refs(specs), max_addresses=chunk_size,
-                                  structured=True, form=trace_form),
+                                  structured=True),
                      on_chunk=on_chunk)
     return stats, planes.report()

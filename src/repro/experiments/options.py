@@ -56,8 +56,8 @@ class SweepOptions:
     ==================  ====================================================
 
     Every exact point runs the steady-state K-plane extrapolation
-    (:mod:`repro.experiments.extrapolate`) over run-compressed traces;
-    neither is an option, since both are exact.
+    (:mod:`repro.experiments.extrapolate`); it is not an option, since
+    it is exact.
     """
 
     checkpoint: "str | os.PathLike | CheckpointJournal | None" = None
@@ -110,10 +110,6 @@ class PointPolicy:
     ``chunk_size``  addresses per trace chunk (``None`` = default bound,
                     ``0`` = unbounded); affects memory/timing only — the
                     simulated statistics are bit-for-bit independent of it
-    ``trace_form``  ``"runs"`` (default, run-compressed) or ``"flat"``
-                    (materialized addresses): how the trace reaches the
-                    simulator. The statistics are identical; benchmarks
-                    and differential tests pin ``"flat"``
     ==============  ========================================================
 
     The default policy (all fields default) is the memoized exact fast
@@ -126,34 +122,21 @@ class PointPolicy:
     journal: "CheckpointJournal | None" = None
     store: "PointStore | None" = None
     chunk_size: int | None = None
-    trace_form: str = "runs"
 
     def __post_init__(self) -> None:
-        from repro.trace.generator import TRACE_FORMS
-
         _check_chunk_size(self.chunk_size)
-        if self.trace_form not in TRACE_FORMS:
-            raise ConfigurationError(
-                f"unknown trace_form {self.trace_form!r}; "
-                f"valid: {TRACE_FORMS}")
         if self.analytic and (self.budget is not None
-                              or self.chunk_size is not None
-                              or self.trace_form != "runs"):
+                              or self.chunk_size is not None):
             raise ConfigurationError(
-                "an analytic policy simulates nothing: budget/chunk_size/"
-                "trace_form do not apply")
+                "an analytic policy simulates nothing: budget/chunk_size "
+                "do not apply")
 
     @property
     def plain(self) -> bool:
-        """True when the memoized exact fast path may serve this point.
-
-        The ``"flat"`` trace form routes around the memo too:
-        benchmarks pin a form to *measure* it, which a memo hit would
-        not.
-        """
+        """True when the memoized exact fast path may serve this point."""
         return (not self.analytic and self.budget is None
                 and self.journal is None and self.store is None
-                and self.chunk_size is None and self.trace_form == "runs")
+                and self.chunk_size is None)
 
 
 def _check_chunk_size(chunk_size: int | None) -> None:

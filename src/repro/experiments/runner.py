@@ -188,7 +188,6 @@ def _simulate_exact(kernel_name: str, strategy: str, n: int,
                     cfg: ExperimentConfig,
                     budget: PointBudget | None = None,
                     chunk_size: int | None = None,
-                    trace_form: str = "runs",
                     clock=time.monotonic) -> PointResult:
     """One exact trace simulation, optionally under a budget's deadline.
 
@@ -199,10 +198,8 @@ def _simulate_exact(kernel_name: str, strategy: str, n: int,
     non-direct-mapped level, mixed plane strides, classified) is
     simulated in full; the statistics are identical either way.
     ``chunk_size`` bounds the addresses materialized per trace chunk
-    (``None`` = the generator's default bound, ``0`` = unbounded) and
-    ``trace_form`` picks the trace representation (``"runs"`` or
-    ``"flat"``); the statistics are bit-for-bit identical for every
-    value of both.
+    (``None`` = the generator's default bound, ``0`` = unbounded); the
+    statistics are bit-for-bit identical for every value.
 
     While a metrics registry is live (``--metrics``) the levels carry
     shadow miss classifiers, and classification takes precedence: the
@@ -227,18 +224,17 @@ def _simulate_exact(kernel_name: str, strategy: str, n: int,
         hier.attach_classifiers(
             [MissClassifier(p, ranges) for p in cfg.levels])
 
-    def on_chunk(addrs) -> None:
+    def on_chunk(chunk) -> None:
         faults.tick("chunk")
         if deadline is not None:
-            deadline.check(len(addrs))
+            deadline.check(len(chunk))
 
     t0 = time.perf_counter()
     with events.span("simulate", kernel=kernel_name, strategy=strategy,
                      n=n) as sp:
         stats, xrep = simulate_extrapolated(
             kern, sel, schedule, hier, inter_pad=inter_pad,
-            chunk_size=chunk_size, trace_form=trace_form,
-            on_chunk=on_chunk)
+            chunk_size=chunk_size, on_chunk=on_chunk)
         sp["extrapolated"] = xrep.fired
         events.emit("extrapolate", kernel=kernel_name, strategy=strategy,
                     n=n, fired=xrep.fired, period=xrep.period,
@@ -524,8 +520,7 @@ def _store_lookup(store: PointStore, fingerprint_: str,
 def _compute_point(kernel: str, strategy: str, n: int,
                    cfg: ExperimentConfig,
                    budget: PointBudget | None,
-                   chunk_size: int | None = None,
-                   trace_form: str = "runs") -> PointResult:
+                   chunk_size: int | None = None) -> PointResult:
     """Exact simulation under ``budget``, degrading to the model.
 
     A non-plain point's computation, in the calling process
@@ -540,7 +535,7 @@ def _compute_point(kernel: str, strategy: str, n: int,
         return run_with_retries(
             lambda: _simulate_exact(kernel, strategy, n, cfg,
                                     budget=budget, chunk_size=chunk_size,
-                                    trace_form=trace_form, clock=clock),
+                                    clock=clock),
             budget, sleep=faults.active_sleep())
     except (BudgetExceededError, RetryableError) as exc:
         log.warning("point %s/%s/N=%d degraded to the analytic model "
@@ -563,8 +558,7 @@ def run_point(kernel: str, strategy: str, n: int,
     recorded back. Every other policy computes the point in this
     process as one ``point`` span: the default policy on the memoized
     exact fast path, ``analytic=True`` from the miss model, and a
-    budget, chunk bound or the flat trace form by exact simulation
-    around the memo. See
+    budget or chunk bound by exact simulation around the memo. See
     :class:`~repro.experiments.options.PointPolicy`.
     """
     cfg = cfg or ExperimentConfig()
@@ -581,7 +575,7 @@ def run_point(kernel: str, strategy: str, n: int,
             sp["source"] = "analytic"
         else:
             result = _compute_point(kernel, strategy, n, cfg, policy.budget,
-                                    policy.chunk_size, policy.trace_form)
+                                    policy.chunk_size)
         sp["degraded"] = result.degraded
         metrics.inc("repro.runner.points",
                     mode="analytic" if result.degraded else "exact")
@@ -669,7 +663,7 @@ def _run_points(keys: list[tuple], cfg: ExperimentConfig,
         log.info("parallel sweep %s: %d points across %d workers "
                  "(timeout %s)", misses[0][0], len(misses), workers,
                  f"{point_timeout}s" if point_timeout else "none")
-        args = (cfg, policy.budget, policy.chunk_size, policy.trace_form)
+        args = (cfg, policy.budget, policy.chunk_size)
         outcomes = run_supervised(
             _pool_point_task, [(key, (*key, *args)) for key in misses],
             PoolPolicy(workers=workers, point_timeout=point_timeout,

@@ -123,9 +123,7 @@ class StencilKernel(abc.ABC):
               schedule: Schedule | None = None,
               inter_pad_cache: int | None = None,
               chunk_size: int | None = None,
-              structured: bool = False,
-              trace_form: str = "flat"
-              ) -> Iterator:
+              structured: bool = False) -> Iterator:
         """Reference trace for a tile-selection result.
 
         The schedule defaults to TILED when the selection carries a tile
@@ -137,10 +135,7 @@ class StencilKernel(abc.ABC):
         memory and batching only, never the reference stream itself.
         With ``structured=True`` chunks are
         :class:`~repro.trace.generator.TraceChunk` objects instead of
-        ``(addresses, is_write)`` pairs; ``trace_form="runs"``
-        additionally compresses affine chunks into
-        :class:`~repro.trace.runs.RunChunk` objects (same stream,
-        bit-for-bit).
+        ``(addresses, is_write)`` pairs.
         """
         from repro.trace.generator import trace_chunks
 
@@ -157,8 +152,7 @@ class StencilKernel(abc.ABC):
         chunks = self.iter_chunks(schedule, ti=ti, tj=tj, tk=tk)
         return trace_chunks(chunks, self.refs(specs),
                             max_addresses=chunk_size,
-                            structured=structured,
-                            form=trace_form)
+                            structured=structured)
 
     # ------------------------------------------------------------------
     # accounting

@@ -50,10 +50,6 @@ name                                   type        labels
 ``repro.cache.engine_level_mode``      counter     ``level``, ``mode`` in
                                                    per_level|assoc_scan
 ``repro.cache.batches``                counter     —
-``repro.cache.run_windows``            counter     ``outcome`` in runs|
-                                                   stride_fallback|
-                                                   unprofitable|conflict|
-                                                   classified
 ``repro.cache.partition``              counter     ``strategy`` in
                                                    counting|argsort
 ``repro.cache.extrapolation``          counter     ``outcome`` in fired|

@@ -115,17 +115,6 @@ class RunSummary:
     engine_levels: dict[str, dict[str, int]] = field(default_factory=dict)
     #: partition strategy -> invocation count (metrics snapshot).
     partitions: dict[str, int] = field(default_factory=dict)
-    #: affine run-compressed traces (``repro.trace.run_*`` counters):
-    #: chunks emitted as runs, stored runs, addresses they represent,
-    #: and generator fallbacks by reason.
-    run_chunks: int = 0
-    run_count: int = 0
-    run_addresses: int = 0
-    run_fallbacks: dict[str, int] = field(default_factory=dict)
-    #: run consumption at the engine (``repro.cache.run_*`` counters):
-    #: window outcome -> count, element path -> count.
-    run_windows: dict[str, int] = field(default_factory=dict)
-    run_elements: dict[str, int] = field(default_factory=dict)
     #: (kernel, strategy, n, dur_s, refs) of the slowest simulations.
     slowest: list[tuple] = field(default_factory=list)
     #: p50/p90/p95 over every ``simulate`` span duration.
@@ -235,24 +224,6 @@ def summarize(events: list[dict], metrics: dict | None = None,
                 mode = labels.get("mode", "?")
                 by = s.engine_levels.setdefault(lvl, {})
                 by[mode] = by.get(mode, 0) + int(row.get("value", 0))
-            elif name == "repro.trace.run_chunks":
-                s.run_chunks += int(row.get("value", 0))
-            elif name == "repro.trace.runs":
-                s.run_count += int(row.get("value", 0))
-            elif name == "repro.trace.run_addresses":
-                s.run_addresses += int(row.get("value", 0))
-            elif name == "repro.trace.run_fallback":
-                reason = labels.get("reason", "?")
-                s.run_fallbacks[reason] = (s.run_fallbacks.get(reason, 0)
-                                           + int(row.get("value", 0)))
-            elif name == "repro.cache.run_windows":
-                outcome = labels.get("outcome", "?")
-                s.run_windows[outcome] = (s.run_windows.get(outcome, 0)
-                                          + int(row.get("value", 0)))
-            elif name == "repro.cache.run_elements":
-                path = labels.get("path", "?")
-                s.run_elements[path] = (s.run_elements.get(path, 0)
-                                        + int(row.get("value", 0)))
             elif name == "repro.integrity.crc_failures":
                 s.crc_failures += int(row.get("value", 0))
             if row.get("name") == "repro.sim.miss_class":
@@ -311,26 +282,6 @@ def format_report(s: RunSummary) -> str:
                                    for m, n in sorted(by.items())) + "]"
             for lvl, by in sorted(s.engine_levels.items()))
         parts.append(f"engine support: {per}")
-    if s.run_chunks or s.run_fallbacks:
-        ratio = (s.run_addresses / s.run_count) if s.run_count else 0.0
-        line = (f"trace compression: {s.run_chunks} run chunks "
-                f"({s.run_count} runs for {s.run_addresses} addresses, "
-                f"{ratio:.1f}:1)")
-        if s.run_fallbacks:
-            fb = ", ".join(f"{n} {r}"
-                           for r, n in sorted(s.run_fallbacks.items()))
-            line += f", fallbacks [{fb}]"
-        if s.run_windows:
-            wins = ", ".join(f"{n} {o}"
-                             for o, n in sorted(s.run_windows.items()))
-            line += f"; engine windows [{wins}]"
-        if s.run_elements:
-            total = sum(s.run_elements.values())
-            direct = s.run_elements.get("runs", 0)
-            if total:
-                line += (f", {100.0 * direct / total:.0f}% of elements "
-                         f"on the closed-form path")
-        parts.append(line)
     if s.extrapolation_fired or s.extrapolation_fallback:
         parts.append(
             f"extrapolation: {s.extrapolation_fired} points fired "

@@ -22,22 +22,15 @@ simulation. The JSON layout:
   end-to-end throughput;
 * ``points[*].assoc`` — the L1 associativity benched (``--assoc``
   widens the grid to same-capacity associative geometries; reports
-  from before the field default to 1 when compared);
-* ``points[*].trace_form`` / ``trace_compression`` — the trace
-  representation the point was timed with (``runs`` = affine
-  run-compressed chunks, ``flat`` = materialized addresses) and the
-  achieved compression (addresses represented per value stored; 1.0
-  for flat). The report's top-level ``trace_form`` mirrors the forced
-  form so ``repro bench compare`` can refuse to diff reports that
-  timed different representations.
+  from before the field default to 1 when compared).
+
+Comparisons read only the fields above, so reports from older versions
+that carry fields this one no longer writes still compare and trend.
 
 ``--assoc-speedup A`` additionally times an A-way sweep against the
 scalar exact-LRU reference (:func:`bench_assoc_speedup`) and prints
 the ratio; ``benchmarks/test_bench_sweep_perf.py`` gates it at >= 2x
 for 2-way and >= 1.5x for 4- and 8-way.
-``--trace-speedup MIN`` times trace generation in both forms
-(:func:`bench_trace_speedup`) and exits non-zero when the geomean
-``trace_seconds`` speedup of runs over flat falls below ``MIN``.
 
 CI runs this on a small grid and archives the artifact; compare two
 files with a glance at ``addresses_per_second``.
@@ -58,7 +51,7 @@ from repro.cache.hierarchy import CacheHierarchy
 from repro.perf.timing import best_of
 
 __all__ = ["bench_point", "bench_sweep", "bench_assoc_speedup",
-           "bench_trace_speedup", "write_bench", "read_bench",
+           "write_bench", "read_bench",
            "compare_benchmarks", "format_compare", "read_bench_dir",
            "bench_trend", "format_trend", "main"]
 
@@ -70,26 +63,19 @@ DEFAULT_KERNELS = ("JACOBI", "RESID")
 DEFAULT_STRATEGIES = ("Orig", "GcdPad")
 
 
-def _point_pipeline(kernel: str, strategy: str, n: int, cfg,
-                    trace_form: str = "flat"):
-    """(trace_fn, l1_fn, l2_fn, end_fn, counts_fn) for one point.
+def _point_pipeline(kernel: str, strategy: str, n: int, cfg):
+    """(trace_fn, l1_fn, l2_fn, end_fn, addresses_fn) for one point.
 
-    ``counts_fn`` reports ``(addresses, stored)`` *counted during the
-    timed ``trace_fn`` runs* — the trace is never drained an extra time
-    just to count it (it used to be, which charged every benched point
-    one unmeasured full generation). ``stored`` is the number of values
-    actually carried by the chunks (run count for
-    :class:`~repro.trace.runs.RunChunk`, address count for flat), so
-    ``addresses / stored`` is the achieved trace compression.
-
-    ``trace_form`` is the *resolved* form (``"runs"`` or ``"flat"``);
-    the L1-only stage drives a single-level hierarchy so both forms
-    flow through the same engine entry points the real runner uses.
+    ``addresses_fn`` reports the trace length *counted during the timed
+    ``trace_fn`` runs* — the trace is never drained an extra time just
+    to count it (it used to be, which charged every benched point one
+    unmeasured full generation). The L1-only stage drives a
+    single-level hierarchy, so every stage flows through the engine
+    entry points the real runner uses.
     """
     from repro.core.selector import select
     from repro.experiments.runner import _schedule_for, _simulate_exact
     from repro.kernels import KERNELS
-    from repro.trace.runs import RunChunk
 
     kern = KERNELS[kernel](n, cfg.nk, elem_bytes=cfg.elem_bytes)
     meta = kern.meta
@@ -100,23 +86,17 @@ def _point_pipeline(kernel: str, strategy: str, n: int, cfg,
 
     def chunks():
         return kern.trace(sel, schedule, inter_pad_cache=inter_pad,
-                          structured=True, trace_form=trace_form)
+                          structured=True)
 
-    counted = {"addresses": 0, "stored": 0}
+    counted = {"addresses": 0}
 
     def trace_only():
-        total = stored = 0
-        for chunk in chunks():
-            total += chunk.n_addresses
-            stored += (chunk.n_runs if isinstance(chunk, RunChunk)
-                       else chunk.n_addresses)
-        counted["addresses"] = total
-        counted["stored"] = stored
+        counted["addresses"] = sum(len(chunk) for chunk in chunks())
 
-    def counts_fn() -> tuple[int, int]:
+    def addresses_fn() -> int:
         if not counted["addresses"]:  # trace_fn not timed yet
             trace_only()
-        return counted["addresses"], counted["stored"]
+        return counted["addresses"]
 
     def l1_only():
         CacheHierarchy([cfg.l1]).run(chunks())
@@ -125,9 +105,9 @@ def _point_pipeline(kernel: str, strategy: str, n: int, cfg,
         CacheHierarchy(cfg.levels).run(chunks())
 
     def end_to_end():
-        _simulate_exact(kernel, strategy, n, cfg, trace_form=trace_form)
+        _simulate_exact(kernel, strategy, n, cfg)
 
-    return trace_only, l1_only, full_hierarchy, end_to_end, counts_fn
+    return trace_only, l1_only, full_hierarchy, end_to_end, addresses_fn
 
 
 def _assoc_cfg(cfg, assoc: int):
@@ -144,45 +124,20 @@ def _assoc_cfg(cfg, assoc: int):
         name=f"{l1.name}/{assoc}w"))
 
 
-def resolve_trace_form(trace_form: str) -> str:
-    """The concrete form a bench with ``trace_form`` times.
-
-    ``"auto"`` resolves to ``"runs"``, the form a default ``run_point``
-    simulates with. The end-to-end stage runs ``_simulate_exact``, so
-    eligible untiled points extrapolate there in either form; the
-    trace, L1 and L2 stages always drive the full trace.
-    """
-    from repro.trace.generator import TRACE_FORMS
-
-    if trace_form == "auto":
-        return "runs"
-    if trace_form not in TRACE_FORMS:
-        raise ValueError(
-            f"unknown trace form {trace_form!r}; "
-            f"valid: {('auto',) + TRACE_FORMS}")
-    return trace_form
-
-
 def bench_point(kernel: str, strategy: str, n: int, cfg=None, *,
-                repeats: int = 3, assoc: int = 1,
-                trace_form: str = "auto") -> dict:
+                repeats: int = 3, assoc: int = 1) -> dict:
     """Stage timings for one (kernel, strategy, N[, assoc]) point.
 
     ``assoc > 1`` re-shapes the L1 to that many ways (same capacity and
     line size), exercising the vectorized associative engine path.
-    ``trace_form`` pins the trace representation being timed (the
-    simulated statistics are identical across forms, the timings are
-    not); the default ``"auto"`` times what a default ``run_point``
-    would actually do — see :func:`resolve_trace_form`.
     """
     from repro.experiments.config import ExperimentConfig
 
-    form = resolve_trace_form(trace_form)
     cfg = _assoc_cfg(cfg or ExperimentConfig(), assoc)
-    trace_fn, l1_fn, l2_fn, end_fn, counts_fn = _point_pipeline(
-        kernel, strategy, n, cfg, trace_form=form)
+    trace_fn, l1_fn, l2_fn, end_fn, addresses_fn = _point_pipeline(
+        kernel, strategy, n, cfg)
     trace_seconds = best_of(trace_fn, repeats)
-    addresses, stored = counts_fn()
+    addresses = addresses_fn()
     end_seconds = best_of(end_fn, repeats)
     return {
         "kernel": kernel,
@@ -191,8 +146,6 @@ def bench_point(kernel: str, strategy: str, n: int, cfg=None, *,
         "nk": cfg.nk,
         "assoc": assoc,
         "addresses": addresses,
-        "trace_form": form,
-        "trace_compression": (addresses / stored) if stored else 1.0,
         "trace_seconds": trace_seconds,
         "l1_seconds": best_of(l1_fn, repeats),
         "l2_seconds": best_of(l2_fn, repeats),
@@ -205,8 +158,7 @@ def bench_sweep(kernels: Sequence[str] = DEFAULT_KERNELS,
                 strategies: Sequence[str] = DEFAULT_STRATEGIES,
                 sizes: Sequence[int] = (96,),
                 cfg=None, *, repeats: int = 3,
-                assocs: Sequence[int] = (1,),
-                trace_form: str = "auto") -> dict:
+                assocs: Sequence[int] = (1,)) -> dict:
     """Bench every (kernel, strategy, N, assoc) point; return the report."""
     import numpy
 
@@ -214,9 +166,7 @@ def bench_sweep(kernels: Sequence[str] = DEFAULT_KERNELS,
     from repro.experiments.runner import config_fingerprint
 
     cfg = cfg or ExperimentConfig()
-    form = resolve_trace_form(trace_form)
-    points = [bench_point(k, s, n, cfg, repeats=repeats, assoc=a,
-                          trace_form=form)
+    points = [bench_point(k, s, n, cfg, repeats=repeats, assoc=a)
               for k in kernels for s in strategies for n in sizes
               for a in assocs]
     return {
@@ -224,7 +174,6 @@ def bench_sweep(kernels: Sequence[str] = DEFAULT_KERNELS,
         "fingerprint": config_fingerprint(cfg),
         "created": time.time(),
         "repeats": repeats,
-        "trace_form": form,
         "host": {
             "python": platform.python_version(),
             "numpy": numpy.__version__,
@@ -263,7 +212,7 @@ def bench_assoc_speedup(kernel: str = "JACOBI", strategy: str = "Orig",
                  atd=meta.atd)
     schedule = _schedule_for(strategy, kernel, sel)
     inter_pad = cfg.cs if cfg.inter_pad else None
-    chunks = [chunk.addresses.copy()
+    chunks = [chunk.addresses
               for chunk in kern.trace(sel, schedule,
                                       inter_pad_cache=inter_pad,
                                       structured=True)]
@@ -288,57 +237,6 @@ def bench_assoc_speedup(kernel: str = "JACOBI", strategy: str = "Orig",
         "assoc": assoc, "addresses": addresses,
         "fast_seconds": fast_s, "reference_seconds": ref_s,
         "speedup": (ref_s / fast_s) if fast_s > 0 else None,
-    }
-
-
-def bench_trace_speedup(kernels: Sequence[str] = DEFAULT_KERNELS,
-                        strategy: str = "Orig", n: int = 96, cfg=None, *,
-                        repeats: int = 2) -> dict:
-    """Run-compressed vs materialized trace generation, per kernel.
-
-    For each kernel, times draining the *untiled* trace (``Orig`` keeps
-    the interior one long affine run per row, the run form's best and
-    most common case) in both forms, plus the end-to-end point both
-    ways. ``geomean_trace_speedup`` is the headline number the
-    perf-smoke gate holds: generating and consuming ``(base, stride,
-    count)`` runs must beat materializing every address by the gated
-    factor.
-    """
-    from repro.experiments.config import ExperimentConfig
-
-    cfg = cfg or ExperimentConfig()
-    rows = []
-    for kernel in kernels:
-        flat = _point_pipeline(kernel, strategy, n, cfg, trace_form="flat")
-        runs = _point_pipeline(kernel, strategy, n, cfg, trace_form="runs")
-        flat_trace = best_of(flat[0], repeats)
-        runs_trace = best_of(runs[0], repeats)
-        flat_end = best_of(flat[3], repeats)
-        runs_end = best_of(runs[3], repeats)
-        addresses, stored = runs[4]()
-        rows.append({
-            "kernel": kernel, "strategy": strategy, "n": n, "nk": cfg.nk,
-            "addresses": addresses,
-            "trace_compression": (addresses / stored) if stored else 1.0,
-            "flat_trace_seconds": flat_trace,
-            "runs_trace_seconds": runs_trace,
-            "trace_speedup": (flat_trace / runs_trace
-                              if runs_trace > 0 else None),
-            "flat_end_to_end_seconds": flat_end,
-            "runs_end_to_end_seconds": runs_end,
-            "end_to_end_speedup": (flat_end / runs_end
-                                   if runs_end > 0 else None),
-        })
-    speedups = [r["trace_speedup"] for r in rows if r["trace_speedup"]]
-    geomean = (math.exp(sum(math.log(s) for s in speedups) / len(speedups))
-               if speedups else None)
-    ends = [r["end_to_end_speedup"] for r in rows if r["end_to_end_speedup"]]
-    end_geomean = (math.exp(sum(math.log(s) for s in ends) / len(ends))
-                   if ends else None)
-    return {
-        "points": rows,
-        "geomean_trace_speedup": geomean,
-        "geomean_end_to_end_speedup": end_geomean,
     }
 
 
@@ -387,11 +285,7 @@ def compare_benchmarks(old: dict, new: dict) -> dict:
     configuration on the same platform — a fingerprint mismatch means
     the workloads differ and the speedups are not meaningful (the CLI
     refuses such comparisons without ``--force``); a host mismatch
-    merely calibrates expectations. ``trace_form_match`` likewise flags
-    reports that timed different trace representations (reports from
-    before the field are ``"flat"`` — that is what they measured): a
-    mismatch means the "speedup" mixes the representation change into
-    every number, so the CLI also refuses it without ``--force``.
+    merely calibrates expectations.
     """
     old_pts = {_point_key(p): p for p in old["points"]}
     new_pts = {_point_key(p): p for p in new["points"]}
@@ -411,16 +305,11 @@ def compare_benchmarks(old: dict, new: dict) -> dict:
     speedups = [r["speedup"] for r in rows if r["speedup"]]
     geomean = (math.exp(sum(math.log(s) for s in speedups)
                         / len(speedups)) if speedups else None)
-    old_form = old.get("trace_form", "flat")
-    new_form = new.get("trace_form", "flat")
     return {
         "fingerprint_match": old.get("fingerprint") == new.get("fingerprint"),
         "host_match": old.get("host") == new.get("host"),
         "old_fingerprint": old.get("fingerprint"),
         "new_fingerprint": new.get("fingerprint"),
-        "trace_form_match": old_form == new_form,
-        "old_trace_form": old_form,
-        "new_trace_form": new_form,
         "points": rows,
         "only_old": sorted(k for k in old_pts if k not in new_pts),
         "only_new": sorted(k for k in new_pts if k not in old_pts),
@@ -436,11 +325,6 @@ def format_compare(cmp: dict) -> str:
                      f"({cmp['old_fingerprint']} vs "
                      f"{cmp['new_fingerprint']}) — different workloads, "
                      "speedups are not meaningful")
-    if not cmp.get("trace_form_match", True):
-        lines.append("WARNING: trace forms differ "
-                     f"({cmp['old_trace_form']} vs "
-                     f"{cmp['new_trace_form']}) — the \"speedup\" mixes "
-                     "the representation change into every number")
     if not cmp["host_match"]:
         lines.append("note: host platforms differ (python/numpy/machine)")
     lines.append(f"{'kernel':8s} {'strategy':8s} {'N':>4s} {'A':>2s}  "
@@ -534,13 +418,10 @@ def bench_trend(reports: list[dict]) -> dict:
                               if base and secs else None),
         })
     fingerprints = {r.get("fingerprint") for r in reports}
-    forms = {r.get("trace_form", "flat") for r in reports}
     return {
         "reports": len(reports),
         "latest_path": latest.get("_path"),
         "fingerprint_stable": len(fingerprints) == 1,
-        "trace_form_stable": len(forms) == 1,
-        "trace_forms": sorted(forms),
         "points": rows,
     }
 
@@ -554,10 +435,6 @@ def format_trend(trend: dict, gate: float | None = None) -> str:
     if not trend["fingerprint_stable"]:
         lines.append("WARNING: config fingerprints drift across the "
                      "history — deltas mix workload and perf changes")
-    if not trend.get("trace_form_stable", True):
-        lines.append("WARNING: trace forms drift across the history "
-                     f"({', '.join(trend['trace_forms'])}) — deltas mix "
-                     "the representation change and perf changes")
     lines.append(f"trend over {trend['reports']} report(s); "
                  f"latest: {trend.get('latest_path') or '?'}")
     lines.append(f"{'kernel':8s} {'strategy':8s} {'N':>4s} {'A':>2s}  "
@@ -603,18 +480,6 @@ def main(argv: Sequence[str] | None = None) -> int:
     p.add_argument("--assoc-speedup", type=int, metavar="A", default=None,
                    help="also time an A-way sweep against the scalar "
                         "exact-LRU reference and print the speedup")
-    p.add_argument("--trace-form", choices=["auto", "runs", "flat"],
-                   default="auto",
-                   help="trace representation to time (auto = runs, "
-                        "what a default run_point does; stamped into "
-                        "the report so compare/trend can refuse "
-                        "cross-form diffs)")
-    p.add_argument("--trace-speedup", type=float, metavar="MIN",
-                   default=None,
-                   help="also time untiled trace generation in both "
-                        "forms and exit 1 when the geomean "
-                        "trace_seconds speedup of runs over flat is "
-                        "below MIN")
     p.add_argument("--repeats", type=int, default=3,
                    help="best-of repeats per timing (default 3)")
     p.add_argument("--out", metavar="PATH", default="BENCH_sweep.json",
@@ -631,9 +496,6 @@ def main(argv: Sequence[str] | None = None) -> int:
             p.error(f"--assoc must be >= 1, got {a}")
     if args.assoc_speedup is not None and args.assoc_speedup < 2:
         p.error("--assoc-speedup needs an associative geometry (A >= 2)")
-    if args.trace_speedup is not None and args.trace_speedup <= 0:
-        p.error(f"--trace-speedup must be a positive factor, "
-                f"got {args.trace_speedup}")
 
     from repro import obs
 
@@ -645,8 +507,7 @@ def main(argv: Sequence[str] | None = None) -> int:
             strategies=tuple(args.strategy or DEFAULT_STRATEGIES),
             sizes=tuple(args.n or (96,)),
             repeats=args.repeats,
-            assocs=tuple(args.assoc or (1,)),
-            trace_form=args.trace_form)
+            assocs=tuple(args.assoc or (1,)))
         speedup = None
         if args.assoc_speedup is not None:
             speedup = bench_assoc_speedup(
@@ -654,47 +515,23 @@ def main(argv: Sequence[str] | None = None) -> int:
                 strategy=(args.strategy or DEFAULT_STRATEGIES)[0],
                 n=(args.n or (96,))[0],
                 assoc=args.assoc_speedup, repeats=args.repeats)
-        trace_speedup = None
-        if args.trace_speedup is not None:
-            trace_speedup = bench_trace_speedup(
-                kernels=tuple(args.kernel or DEFAULT_KERNELS),
-                n=(args.n or (96,))[0], repeats=args.repeats)
         out = write_bench(report, args.out)
         ses.artifacts["bench"] = str(out)
     for pt in report["points"]:
         print(f"{pt['kernel']:8s} {pt['strategy']:8s} N={pt['n']:<4d} "
               f"{pt['assoc']}w "
-              f"trace[{pt['trace_form']}] {pt['trace_seconds']:.3f}s  "
+              f"trace {pt['trace_seconds']:.3f}s  "
               f"L1 {pt['l1_seconds']:.3f}s  "
               f"L1+L2 {pt['l2_seconds']:.3f}s  "
               f"end-to-end {pt['end_to_end_seconds']:.3f}s  "
-              f"({pt['addresses_per_second']:.2e} addr/s, "
-              f"{pt['trace_compression']:.1f}:1)")
+              f"({pt['addresses_per_second']:.2e} addr/s)")
     if speedup is not None:
         print(f"assoc speedup: {speedup['kernel']}/{speedup['strategy']} "
               f"N={speedup['n']} {speedup['assoc']}-way  "
               f"engine {speedup['fast_seconds']:.3f}s  "
               f"scalar reference {speedup['reference_seconds']:.3f}s  "
               f"-> {speedup['speedup']:.2f}x")
-    if trace_speedup is not None:
-        for r in trace_speedup["points"]:
-            print(f"trace speedup: {r['kernel']}/{r['strategy']} "
-                  f"N={r['n']}  "
-                  f"flat {r['flat_trace_seconds']:.3f}s  "
-                  f"runs {r['runs_trace_seconds']:.3f}s  "
-                  f"-> {r['trace_speedup']:.2f}x "
-                  f"(end-to-end {r['end_to_end_speedup']:.2f}x, "
-                  f"{r['trace_compression']:.1f}:1)")
-        gm = trace_speedup["geomean_trace_speedup"]
-        print(f"geomean trace speedup: {gm:.2f}x "
-              f"(gate {args.trace_speedup:.2f}x)")
     print(f"wrote {out}")
-    if (trace_speedup is not None
-            and (trace_speedup["geomean_trace_speedup"] or 0.0)
-            < args.trace_speedup):
-        print(f"FAIL: geomean trace speedup below the "
-              f"{args.trace_speedup:.2f}x gate", file=sys.stderr)
-        return 1
     return 0
 
 

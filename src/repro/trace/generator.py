@@ -3,7 +3,9 @@
 For each iteration the kernel issues its references in program order;
 for a chunk of ``n`` iterations and ``R`` references the interleaved
 trace is the row-major flattening of an ``(n, R)`` address matrix — all
-vectorized, no Python-level per-iteration work.
+vectorized, no Python-level per-iteration work. A :class:`TraceChunk`
+keeps that matrix's read and write columns as two contiguous matrices,
+so a write-around cache stack takes the reads without a copy.
 
 Memory is bounded: incoming iteration chunks are re-sliced through
 :func:`repro.trace.enumerators.bounded_chunks` so no yielded address
@@ -28,7 +30,7 @@ from repro.layout.array import ArraySpec
 from repro.obs import metrics
 
 __all__ = ["Ref", "TraceChunk", "trace_chunks", "kernel_refs",
-           "count_refs", "DEFAULT_CHUNK_ADDRESSES", "TRACE_FORMS"]
+           "count_refs", "DEFAULT_CHUNK_ADDRESSES"]
 
 #: Default bound on addresses per yielded chunk (``2**20`` int64 = 8 MB).
 #: Large enough that numpy call overhead is negligible, small enough
@@ -72,73 +74,64 @@ def count_refs(refs: list[Ref]) -> tuple[int, int]:
 
 @dataclass(frozen=True)
 class TraceChunk:
-    """One program-ordered trace chunk in its natural (matrix) shape.
+    """One program-ordered trace chunk, its reads and writes apart.
 
-    Row ``r`` holds iteration ``r``'s references in program order; the
-    row-major flattening (:attr:`addresses`) is the interleaved address
-    stream. Keeping the matrix lets consumers slice by reference
-    position — with the reads-first reference convention of
-    :func:`kernel_refs`, :attr:`read_addresses` is a column slice and a
-    write-around hierarchy never materializes a per-address boolean
-    mask at all.
+    Row ``r`` of :attr:`read_matrix` holds iteration ``r``'s read
+    references and row ``r`` of :attr:`write_matrix` its write
+    references, each in program order; ``wmask_row`` places every
+    reference in the iteration's interleaved order. A write-around
+    hierarchy consumes :attr:`read_addresses`, a zero-copy view of the
+    contiguous read matrix, so no per-address mask or column copy is
+    ever built. The interleaved stream (:attr:`addresses`) is
+    assembled on demand for write-allocate callers. ``len(chunk)`` is
+    its address count.
     """
 
-    matrix: np.ndarray      #: ``(n_iters, n_refs)`` int64 byte addresses
-    wmask_row: np.ndarray   #: ``(n_refs,)`` per-reference write flags
+    read_matrix: np.ndarray   #: ``(n_iters, n_reads)`` int64 byte addresses
+    write_matrix: np.ndarray  #: ``(n_iters, n_writes)`` int64 byte addresses
+    wmask_row: np.ndarray     #: ``(n_refs,)`` per-reference write flags
 
     @property
     def n_iters(self) -> int:
-        return self.matrix.shape[0]
+        return self.read_matrix.shape[0]
 
     @property
     def n_addresses(self) -> int:
-        """Addresses in this chunk (form-agnostic; see ``RunChunk``)."""
-        return self.matrix.size
+        """Addresses in this chunk, reads and writes."""
+        return self.read_matrix.size + self.write_matrix.size
+
+    def __len__(self) -> int:
+        return self.n_addresses
 
     @property
     def reads(self) -> int:
         """Read accesses in this chunk."""
-        nw = int(np.count_nonzero(self.wmask_row))
-        return self.n_iters * (self.matrix.shape[1] - nw)
+        return self.read_matrix.size
 
     @property
     def writes(self) -> int:
         """Write accesses in this chunk."""
-        return self.n_iters * int(np.count_nonzero(self.wmask_row))
-
-    @property
-    def addresses(self) -> np.ndarray:
-        """The flat interleaved address stream (a zero-copy view)."""
-        return self.matrix.reshape(-1)
-
-    @property
-    def write_mask(self) -> np.ndarray:
-        """Per-address write flags aligned with :attr:`addresses`."""
-        return np.tile(self.wmask_row, self.n_iters)
+        return self.write_matrix.size
 
     @property
     def read_addresses(self) -> np.ndarray:
-        """The read accesses only, still in program order.
+        """The read accesses only, in program order (a zero-copy view)."""
+        return self.read_matrix.reshape(-1)
 
-        With reads-first reference lists (the :func:`kernel_refs`
-        contract) this is a column slice; otherwise it falls back to
-        boolean selection. Either way the result equals
-        ``addresses[~write_mask]``.
-        """
-        nw = int(np.count_nonzero(self.wmask_row))
-        if nw == 0:
-            return self.addresses
-        nr = self.matrix.shape[1] - nw
-        if not self.wmask_row[:nr].any():   # reads-first layout
-            return self.matrix[:, :nr].reshape(-1)
-        return self.matrix[:, ~self.wmask_row].reshape(-1)
-
-    def pair(self) -> tuple[np.ndarray, np.ndarray]:
-        """The legacy ``(addresses, is_write)`` chunk form."""
-        return self.addresses, self.write_mask
+    @property
+    def addresses(self) -> np.ndarray:
+        """The flat interleaved address stream (built on demand)."""
+        if not self.write_matrix.shape[1]:
+            return self.read_addresses
+        matrix = np.empty((self.n_iters, self.wmask_row.size),
+                          dtype=np.int64)
+        matrix[:, ~self.wmask_row] = self.read_matrix
+        matrix[:, self.wmask_row] = self.write_matrix
+        return matrix.reshape(-1)
 
 
-def _refs_by_spec(refs: list[Ref]) -> list[tuple[ArraySpec, list]]:
+def _refs_by_spec(refs: list[Ref],
+                  split: bool) -> list[tuple[ArraySpec, list]]:
     """Group references by array, precomputing per-ref byte offsets.
 
     A reference's address is linear in the iteration coordinates:
@@ -146,15 +139,22 @@ def _refs_by_spec(refs: list[Ref]) -> list[tuple[ArraySpec, list]]:
     + const`` with ``const = ((oi-1) + (oj-1)*di + (ok-1)*plane) * eb``
     folded at build time (exact int64 algebra — every reference of one
     array then costs a single vector add off a shared base column).
+    Each reference becomes ``(side, col, const)``, naming the matrix
+    and column it fills: with ``split``, reads fill matrix 0 and writes
+    matrix 1, as in :class:`TraceChunk`; without, every reference fills
+    its program position of one interleaved matrix.
     """
     groups: dict[int, tuple[ArraySpec, list]] = {}
-    for col, ref in enumerate(refs):
+    cols = [0, 0]   # next column of each matrix
+    for ref in refs:
         spec = ref.array
         const = ((ref.oi - 1)
                  + (ref.oj - 1) * spec.di
                  + (ref.ok - 1) * spec.plane) * spec.elem_bytes
+        side = int(split and ref.is_write)
         groups.setdefault(id(spec), (spec, []))[1].append(
-            (col, np.int64(const)))
+            (side, cols[side], np.int64(const)))
+        cols[side] += 1
     return list(groups.values())
 
 
@@ -165,53 +165,58 @@ def _refs_by_spec(refs: list[Ref]) -> list[tuple[ArraySpec, list]]:
 _FILL_BLOCK_ELEMENTS = 1 << 17
 
 
-#: Valid ``form`` values for :func:`trace_chunks`.
-TRACE_FORMS = ("flat", "runs")
+def _fill(i: np.ndarray, j: np.ndarray, k: np.ndarray, groups,
+          widths: tuple[int, ...]) -> tuple[np.ndarray, ...]:
+    """One iteration chunk's address matrices, ``widths`` columns each
+    (see :func:`_refs_by_spec`)."""
+    n = i.size
+    mats = tuple(np.empty((n, w), dtype=np.int64) for w in widths)
+    blk = max(1, _FILL_BLOCK_ELEMENTS // sum(widths))
+    for s in range(0, n, blk):
+        e = min(n, s + blk)
+        ib, jb, kb = i[s:e], j[s:e], k[s:e]
+        for spec, cols in groups:
+            # 1-based coordinates; each ref's subscript offset is
+            # pre-folded into its byte constant (see _refs_by_spec).
+            base = spec.addr_array(ib, jb, kb)
+            base *= spec.elem_bytes
+            for side, col, const in cols:
+                np.add(base, const, out=mats[side][s:e, col])
+    return mats
 
 
 def trace_chunks(iter_chunks, refs: list[Ref],
                  max_addresses: int | None = None,
-                 structured: bool = False,
-                 form: str = "flat",
-                 ) -> Iterator:
+                 structured: bool = False) -> Iterator:
     """Yield program-ordered trace chunks.
 
     ``iter_chunks`` yields 1-based ``(I, J, K)`` coordinate arrays (see
     :mod:`repro.trace.enumerators`); each output chunk interleaves the
     per-iteration references. By default chunks are the legacy
     ``(byte_addresses, is_write)`` pairs; with ``structured=True`` they
-    are :class:`TraceChunk` objects carrying the same stream in matrix
-    form (the hierarchy engine consumes those without materializing
-    per-address write masks).
-
-    ``form="runs"`` (requires ``structured=True``) compresses each
-    chunk into a :class:`~repro.trace.runs.RunChunk` of per-reference
-    ``(base, stride, count)`` runs when its iteration pattern is affine
-    enough (see :mod:`repro.trace.runs`), falling back to a
-    materialized :class:`TraceChunk` otherwise — consumers see a mix of
-    both forms representing the identical reference stream.
+    are :class:`TraceChunk` objects carrying the same stream with reads
+    and writes apart (the hierarchy engine consumes those without
+    materializing per-address write masks).
 
     ``max_addresses`` bounds the size of every yielded chunk (and with
-    it the peak size of the address matrix built here): ``None`` means
-    :data:`DEFAULT_CHUNK_ADDRESSES`, ``0`` disables the bound and
+    it the peak size of the address matrices built here): ``None``
+    means :data:`DEFAULT_CHUNK_ADDRESSES`, ``0`` disables the bound and
     yields one chunk per incoming iteration chunk (the pre-streaming
     monolithic behaviour). Splitting never changes the reference
-    stream, only its batching.
+    stream, only its batching. No yielded chunk is referenced here once
+    the consumer asks for the next, so a consumer that drops each chunk
+    holds one at a time.
     """
     if not refs:
         raise TraceError("no references")
     if max_addresses is not None and max_addresses < 0:
         raise TraceError(
             f"max_addresses must be >= 0, got {max_addresses}")
-    if form not in TRACE_FORMS:
-        raise TraceError(
-            f"unknown trace form {form!r}; valid: {TRACE_FORMS}")
-    if form == "runs" and not structured:
-        raise TraceError("form='runs' requires structured=True")
     nrefs = len(refs)
     wmask_row = np.array([r.is_write for r in refs], dtype=bool)
-    groups = _refs_by_spec(refs)
-    blk = max(1, _FILL_BLOCK_ELEMENTS // nrefs)
+    nw = int(np.count_nonzero(wmask_row))
+    widths = (nrefs - nw, nw) if structured else (nrefs,)
+    groups = _refs_by_spec(refs, split=structured)
 
     if max_addresses is None:
         max_addresses = DEFAULT_CHUNK_ADDRESSES
@@ -221,35 +226,12 @@ def trace_chunks(iter_chunks, refs: list[Ref],
         iter_chunks = bounded_chunks(iter_chunks,
                                      max(1, max_addresses // nrefs))
 
-    if form == "runs":
-        from repro.trace.runs import compress_iter_chunk
-
     for i, j, k in iter_chunks:
-        n = i.size
-        if n == 0:
+        if i.size == 0:
             continue
         metrics.inc("repro.trace.chunks")
-        metrics.inc("repro.trace.addresses", n * nrefs)
-        if form == "runs":
-            run = compress_iter_chunk(i, j, k, groups, nrefs, wmask_row)
-            if isinstance(run, str):    # fallback reason
-                metrics.inc("repro.trace.run_fallback", reason=run)
-            else:
-                metrics.inc("repro.trace.run_chunks")
-                metrics.inc("repro.trace.runs", run.n_runs)
-                metrics.inc("repro.trace.run_addresses", run.n_addresses)
-                yield run
-                continue
-        matrix = np.empty((n, nrefs), dtype=np.int64)
-        for s in range(0, n, blk):
-            e = min(n, s + blk)
-            ib, jb, kb = i[s:e], j[s:e], k[s:e]
-            for spec, cols in groups:
-                # 1-based coordinates; each ref's subscript offset is
-                # pre-folded into its byte constant (see _refs_by_spec).
-                base = spec.addr_array(ib, jb, kb)
-                base *= spec.elem_bytes
-                for col, const in cols:
-                    np.add(base, const, out=matrix[s:e, col])
-        chunk = TraceChunk(matrix, wmask_row)
-        yield chunk if structured else chunk.pair()
+        metrics.inc("repro.trace.addresses", i.size * nrefs)
+        mats = _fill(i, j, k, groups, widths)
+        yield (TraceChunk(*mats, wmask_row) if structured
+               else (mats[0].reshape(-1), np.tile(wmask_row, i.size)))
+        del mats

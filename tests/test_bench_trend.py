@@ -138,3 +138,24 @@ class TestTrendCli:
         b = str(history / "BENCH_1.json")
         assert main(["bench", "compare", a, b]) == 0
         assert "geomean speedup" in capsys.readouterr().out
+
+    def test_reports_with_trace_form_stamps_need_no_force(self, tmp_path,
+                                                          capsys):
+        """Reports from when traces had two forms carry ``trace_form``
+        stamps, differing across the history; compare and trend read
+        them as they are and ignore the stamp."""
+        for i, (form, secs) in enumerate((("flat", 1.0), ("runs", 1.1),
+                                          (None, 1.2))):
+            rep = _report(created=float(i), end_to_end=secs)
+            if form is not None:
+                rep["trace_form"] = form
+                rep["points"][0].update(trace_form=form,
+                                        trace_compression=4.0)
+            write_bench(rep, tmp_path / f"BENCH_{i}.json")
+        assert main(["bench", "compare", str(tmp_path / "BENCH_0.json"),
+                     str(tmp_path / "BENCH_1.json")]) == 0
+        out = capsys.readouterr().out
+        assert "geomean speedup" in out and "trace form" not in out
+        assert main(["bench", "trend", str(tmp_path), "--gate", "50"]) == 0
+        out = capsys.readouterr().out
+        assert "+14.3%" in out and "trace form" not in out

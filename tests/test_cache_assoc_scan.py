@@ -265,28 +265,19 @@ class TestEngineSupport:
             support.level("L9")
 
     def test_classifiers_keep_level_modes(self):
-        """Classified levels stay on the engine: only a classified L1's
-        run plan changes (it materializes runs for the per-access miss
-        mask)."""
+        """Classified levels stay on the engine: attaching classifiers
+        changes no level's mode, reason or run mode."""
         from repro.cache.classify import MissClassifier
 
         plain = CacheHierarchy([self.L1, self.L2]).engine_support()
         for attach in ([MissClassifier(self.L1), None],
-                       [MissClassifier(self.L1), MissClassifier(self.L2)]):
+                       [MissClassifier(self.L1), MissClassifier(self.L2)],
+                       [None, MissClassifier(self.L2)]):
             hier = CacheHierarchy([self.L1, self.L2])
             hier.attach_classifiers(attach)
-            support = hier.engine_support()
-            assert [(ls.mode, ls.reason) for ls in support.levels] == \
-                [(ls.mode, ls.reason) for ls in plain.levels]
-            l1, l2 = support.levels
-            assert (l1.run_mode, l1.run_reason) == ("materialize",
-                                                    "classified")
-            assert (l2.run_mode, l2.run_reason) == ("demand",
-                                                    "miss_filtered")
-
-        hier = CacheHierarchy([self.L1, self.L2])
-        hier.attach_classifiers([None, MissClassifier(self.L2)])
-        assert hier.engine_support() == plain
+            assert hier.engine_support() == plain
+        l1, l2 = plain.levels
+        assert (l1.run_mode, l2.run_mode) == ("materialize", "demand")
 
     def test_engine_eligible_shim_removed(self):
         """The deprecated ``engine_eligible()`` shim is gone for good."""
@@ -295,21 +286,19 @@ class TestEngineSupport:
         assert not hasattr(CacheHierarchy, "engine_eligible")
 
     def test_run_support_modes_and_reasons(self):
+        # L1 consumes the trace's materialized addresses at every
+        # geometry; deeper levels see the demand stream of the level
+        # above.
         support = CacheHierarchy([self.L1, self.L2]).engine_support()
-        l1 = support.level("L1")
-        assert (l1.run_mode, l1.run_reason) == ("intervals", "direct_mapped")
-        # Deeper levels see the demand stream of the level above, never
-        # the runs themselves.
-        l2 = support.level("L2")
-        assert (l2.run_mode, l2.run_reason) == ("demand", "miss_filtered")
+        assert support.level("L1").run_mode == "materialize"
+        assert support.level("L2").run_mode == "demand"
+        assert not hasattr(support.level("L1"), "run_reason")
 
-        kway = CacheHierarchy([CacheParams(4 * 1024, 16, 4, "L1.4w")])
-        ls = kway.engine_support().level("L1.4w")
-        assert (ls.run_mode, ls.run_reason) == ("intervals", "lru_scan")
-
-        twow = CacheHierarchy([CacheParams(4 * 1024, 16, 2, "L1.2w")])
-        ls = twow.engine_support().level("L1.2w")
-        assert (ls.run_mode, ls.run_reason) == ("intervals", "lru_scan")
+        for assoc in (2, 4):
+            name = f"L1.{assoc}w"
+            hier = CacheHierarchy([CacheParams(4 * 1024, 16, assoc, name)])
+            assert hier.engine_support().level(name).run_mode == \
+                "materialize"
 
     @pytest.mark.parametrize("assoc", (4, 64))
     def test_hierarchy_run_matches_scalar_with_assoc_level(self, assoc):

@@ -104,21 +104,15 @@ def _class_counts(h):
 class TestEngineMatchesAccessLoop:
     """Classifiers on the engine (``run``) see exactly the stream the
     per-chunk ``access()`` loop feeds them: same 3C and per-array
-    counts, for flat and run-compressed traces alike."""
+    counts."""
 
     @pytest.mark.parametrize("kernel", ["JACOBI", "RESID"])
     @pytest.mark.parametrize("strategy", ["Orig", "GcdPad"])
-    @pytest.mark.parametrize("form", ["flat", "runs"])
-    def test_kernel_trace(self, kernel, strategy, form, tiny_config,
-                          monkeypatch):
-        import repro.trace.runs as runs_mod
+    def test_kernel_trace(self, kernel, strategy, tiny_config):
         from repro.core.selector import select
         from repro.experiments.runner import _schedule_for
         from repro.kernels import KERNELS
-        from repro.obs import metrics
 
-        # Let the small grid emit real run chunks.
-        monkeypatch.setattr(runs_mod, "MIN_CHUNK_ADDRESSES", 0)
         n = 24
         kern = KERNELS[kernel](n, tiny_config.nk)
         meta = kern.meta
@@ -132,18 +126,12 @@ class TestEngineMatchesAccessLoop:
         for addrs, w in kern.trace(sel, schedule):
             ref.access(addrs, w)
         eng = _classified(tiny_config.levels, ranges)
-        with metrics.collect() as reg:
-            stats = eng.run(kern.trace(sel, schedule, structured=True,
-                                       trace_form=form))
+        stats = eng.run(kern.trace(sel, schedule, structured=True))
 
         assert _class_counts(eng) == _class_counts(ref)
         for (name, st), cls in zip(stats.levels, eng.classifiers):
             assert cls.total == st.misses, name
         assert stats.levels == ref.stats().levels
-        if form == "runs":
-            # The classified L1 materialized real run windows.
-            assert reg.counter_total("repro.cache.run_windows",
-                                     outcome="classified") > 0
 
     def test_random_stream_with_mid_stream_invalidate(self, rng):
         levels = [tiny_params(512, 16, 1, "L1"),

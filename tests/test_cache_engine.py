@@ -8,7 +8,9 @@ and identical to the scalar :class:`SetAssociativeCache` ground truth.
 These tests hold every pairing to that, over randomized streams that
 mix uniform-random, strided-sweep, and hot-set phases so both
 miss-heavy and hit-heavy regimes are exercised across window
-boundaries (streams are sized past ``BATCH_TARGET`` on purpose).
+boundaries (streams are sized past ``BATCH_TARGET`` on purpose), and
+over real kernel traces at direct-mapped, 64-byte-line and associative
+L1 geometries.
 """
 
 import numpy as np
@@ -49,6 +51,27 @@ GEOMETRIES = {
     "fully_assoc_l1": (CacheParams(2 * 1024, 32, 64, "TLB"),
                        CacheParams(64 * 1024, 32, 1, "L2")),
 }
+
+
+# Kernel-trace geometries: the paper's L1 and L2 (std), a tiny
+# hierarchy every plane overflows (micro), 64-byte L1 lines (wide64),
+# associative L1s (assoc2 with 64-byte lines, assoc4), and a lone L1.
+KERNEL_GEOMETRIES = {
+    "std":    (CacheParams(16384, 32, 1, "L1"),
+               CacheParams(1 << 20, 64, 1, "L2")),
+    "micro":  (CacheParams(512, 32, 1, "L1"),
+               CacheParams(4096, 32, 1, "L2")),
+    "wide64": (CacheParams(16384, 64, 1, "L1"),
+               CacheParams(1 << 20, 64, 1, "L2")),
+    "assoc2": (CacheParams(16384, 64, 2, "L1"),
+               CacheParams(1 << 20, 64, 1, "L2")),
+    "assoc4": (CacheParams(16384, 32, 4, "L1"),
+               CacheParams(1 << 20, 64, 4, "L2")),
+    "l1only": (CacheParams(16384, 32, 1, "L1"),),
+}
+
+KERNEL_STRATEGIES = [(k, s) for k in ("JACOBI", "RESID", "REDBLACK", "PSINV")
+                     for s in ("Orig", "GcdPad")]
 
 
 def mixed_stream(rng, n, line_bytes, span_lines):
@@ -135,6 +158,29 @@ def test_engine_matches_scalar_ground_truth(geometry, policy):
     stats = hier.run(iter(chunks))
     assert_matches_ground_truth(
         stats, *ground_truth(params, chunks, policy))
+
+
+@pytest.mark.parametrize("kernel,strategy", KERNEL_STRATEGIES)
+@pytest.mark.parametrize("geometry", KERNEL_GEOMETRIES)
+def test_kernel_trace_matches_scalar_ground_truth(geometry, kernel,
+                                                  strategy):
+    """Real stencil traces (tiled and untiled, unit and stride-2 rows)
+    through the engine equal the scalar reference at every geometry."""
+    from repro.core.selector import select
+    from repro.experiments.runner import _schedule_for
+    from repro.kernels import KERNELS
+
+    params = KERNEL_GEOMETRIES[geometry]
+    kern = KERNELS[kernel](40, 10)
+    sel = select(strategy, params[0].capacity_elements(8), 40, 40,
+                 mi=kern.meta.mi, mj=kern.meta.mj, atd=kern.meta.atd)
+    schedule = _schedule_for(strategy, kernel, sel)
+
+    hier = CacheHierarchy(list(params))
+    stats = hier.run(kern.trace(sel, schedule, structured=True))
+    assert_matches_ground_truth(
+        stats, *ground_truth(params, kern.trace(sel, schedule),
+                             WritePolicy.WRITE_AROUND))
 
 
 @pytest.mark.parametrize("geometry", GEOMETRIES)

@@ -106,6 +106,48 @@ class TestStats:
         assert st.levels[0][1].accesses == 0
 
 
+class TestStreaming:
+    def test_one_chunk_alive_at_a_time(self):
+        """``run`` and the trace generator drop each chunk before the
+        next is built: when the next iteration chunk is pulled, no
+        earlier ``TraceChunk`` or read matrix is alive."""
+        import weakref
+
+        from repro.cache.base import BATCH_TARGET
+        from repro.layout.array import allocate
+        from repro.trace.enumerators import untiled_3d
+        from repro.trace.generator import Ref, trace_chunks
+
+        n, nk = 64, 6
+        specs = allocate([("B", n, n, nk), ("A", n, n, nk)])
+        refs = [Ref(specs["B"], di, dj, 0)
+                for di, dj in ((-1, 0), (1, 0), (0, -1), (0, 1), (0, 0))]
+        refs.append(Ref(specs["A"], 0, 0, 0, is_write=True))
+        # Each plane's reads fill an L1 window, so the engine buffers
+        # nothing across chunks.
+        assert (n - 2) ** 2 * 5 >= BATCH_TARGET
+        alive = []
+
+        def planes():
+            for plane in untiled_3d(n, nk):
+                assert [r() for r in alive] == [None] * len(alive)
+                yield plane
+
+        def record(chunks):
+            for chunk in chunks:
+                alive.extend((weakref.ref(chunk),
+                              weakref.ref(chunk.read_matrix)))
+                yield chunk
+                del chunk
+
+        hier = CacheHierarchy(levels())
+        stats = hier.run(record(trace_chunks(planes(), refs,
+                                             max_addresses=0,
+                                             structured=True)))
+        assert len(alive) == 2 * (nk - 2)
+        assert stats.reads == 5 * (n - 2) ** 2 * (nk - 2)
+
+
 class TestInvalidate:
     """Regression tests for the reset-vs-invalidate stats trap.
 

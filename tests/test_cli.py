@@ -68,7 +68,7 @@ class TestParser:
     @pytest.mark.parametrize("flag", [["--extrapolate"],
                                       ["--trace-form", "flat"]])
     def test_simulation_path_flags_are_gone(self, command, flag):
-        # Extrapolation over run-compressed traces is the one exact path.
+        # Extrapolation over flat traces is the one exact path.
         argv = [command, *flag]
         if command == "simulate":
             argv += ["--n", "64"]

@@ -64,16 +64,12 @@ class TestPointPolicy:
         assert not PointPolicy(analytic=True).plain
         assert not PointPolicy(budget=PointBudget()).plain
         assert not PointPolicy(chunk_size=0).plain
-        assert PointPolicy(trace_form="runs").plain
-        assert not PointPolicy(trace_form="flat").plain
 
     def test_analytic_excludes_simulation_knobs(self):
         with pytest.raises(ConfigurationError, match="analytic"):
             PointPolicy(analytic=True, budget=PointBudget())
         with pytest.raises(ConfigurationError, match="analytic"):
             PointPolicy(analytic=True, chunk_size=64)
-        with pytest.raises(ConfigurationError, match="analytic"):
-            PointPolicy(analytic=True, trace_form="flat")
 
     def test_bad_chunk_size(self):
         with pytest.raises(ConfigurationError, match="chunk_size"):
@@ -96,14 +92,16 @@ class TestLegacyAPIRemoved:
             assert name not in experiments.__all__
 
     def test_simulation_path_knobs_are_gone(self):
-        # Extrapolation and run-compressed traces are the one exact
-        # path; only PointPolicy keeps a trace form (to pin "flat").
+        # Extrapolation over flat traces is the one exact path: there
+        # is no knob to turn it off or to pick another trace form.
         sweep_fields = {f.name for f in dataclasses.fields(SweepOptions)}
         policy_fields = {f.name for f in dataclasses.fields(PointPolicy)}
         assert not {"extrapolate", "trace_form"} & sweep_fields
-        assert "extrapolate" not in policy_fields
+        assert not {"extrapolate", "trace_form"} & policy_fields
         with pytest.raises(TypeError):
             SweepOptions(extrapolate=True)
+        with pytest.raises(TypeError):
+            PointPolicy(trace_form="flat")
 
     def test_merge_helper_is_gone(self):
         assert not hasattr(options_mod, "merge_deprecated_kwargs")

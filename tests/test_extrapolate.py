@@ -33,16 +33,11 @@ from repro.experiments.runner import (
 from repro.kernels import KERNELS
 from repro.obs import metrics
 from repro.perfmodel.machine import ULTRASPARC2_360
+from repro.resilience import PointBudget
 
 CFG = ExperimentConfig(l1=CacheParams(2048, 32, 1, "L1"),
                        l2=CacheParams(65536, 64, 1, "L2"),
                        machine=ULTRASPARC2_360, nk=8)
-
-#: Trace forms ``simulate_extrapolated`` streams planes in. Each
-#: differential below checks both inside one test (the statistics may
-#: not depend on the form).
-FORMS = ("flat", "runs")
-
 
 def point_setup(kernel, strategy, n, cfg=CFG):
     kern = KERNELS[kernel](n, cfg.nk, elem_bytes=cfg.elem_bytes)
@@ -52,11 +47,10 @@ def point_setup(kernel, strategy, n, cfg=CFG):
     return kern, sel, _schedule_for(strategy, kernel, sel)
 
 
-def run_extrapolated(kernel, strategy, n, cfg=CFG, form="runs"):
+def run_extrapolated(kernel, strategy, n, cfg=CFG):
     kern, sel, schedule = point_setup(kernel, strategy, n, cfg)
     hier = CacheHierarchy(cfg.levels)
-    return simulate_extrapolated(kern, sel, schedule, hier,
-                                 trace_form=form)
+    return simulate_extrapolated(kern, sel, schedule, hier)
 
 
 def run_full(kernel, strategy, n, cfg=CFG):
@@ -71,24 +65,18 @@ def assert_same_stats(a, b):
         assert (na, sa.accesses, sa.misses) == (nb, sb.accesses, sb.misses)
 
 
-def reports_over_forms(kernel, strategy, n, cfg=CFG):
-    """Each form's report, after checking its statistics bit for bit
-    against the full flat simulation."""
-    full = run_full(kernel, strategy, n, cfg)
-    reports = {}
-    for form in FORMS:
-        stats, reports[form] = run_extrapolated(kernel, strategy, n, cfg,
-                                                form)
-        assert_same_stats(stats, full)
-    # The trace form changes the representation, never the proof.
-    assert reports["flat"] == reports["runs"]
-    return reports["runs"]
+def checked_report(kernel, strategy, n, cfg=CFG):
+    """The extrapolated point's report, after checking its statistics
+    bit for bit against the full simulation."""
+    stats, report = run_extrapolated(kernel, strategy, n, cfg)
+    assert_same_stats(stats, run_full(kernel, strategy, n, cfg))
+    return report
 
 
 @pytest.mark.parametrize("kernel", ["JACOBI", "RESID", "REDBLACK"])
 @pytest.mark.parametrize("n", [64, 100])
 def test_fired_statistics_are_bit_identical(kernel, n):
-    report = reports_over_forms(kernel, "Orig", n)
+    report = checked_report(kernel, "Orig", n)
     assert report.fired
     assert report.planes_skipped > 0
     assert report.reason is None
@@ -109,7 +97,7 @@ def test_jacobi_detects_period_one():
 
 
 def test_fallback_reason_tiled_schedule():
-    report = reports_over_forms("JACOBI", "GcdPad", 64)
+    report = checked_report("JACOBI", "GcdPad", 64)
     assert not report.fired
     assert report.reason == "tiled_schedule"
     assert report.planes_simulated == -1
@@ -118,7 +106,7 @@ def test_fallback_reason_tiled_schedule():
 def test_fallback_reason_plane_stride():
     # 90*90*8 bytes is not a multiple of the 64-byte L2 line, so planes
     # do not shift tags by a whole number of lines.
-    report = reports_over_forms("JACOBI", "Orig", 90)
+    report = checked_report("JACOBI", "Orig", 90)
     assert not report.fired
     assert report.reason == "plane_stride"
 
@@ -127,7 +115,7 @@ def test_fallback_reason_no_steady_state():
     # With the real 2MB L2 the whole tiny grid stays resident: tags
     # never recur shifted, and the run must complete unextrapolated.
     cfg = ExperimentConfig(machine=ULTRASPARC2_360, nk=8)
-    report = reports_over_forms("JACOBI", "Orig", 40, cfg)
+    report = checked_report("JACOBI", "Orig", 40, cfg)
     assert not report.fired
     assert report.planes_skipped == 0
     assert report.reason == "no_steady_state"
@@ -135,22 +123,19 @@ def test_fallback_reason_no_steady_state():
 
 def test_fallback_reason_classifiers():
     kern, sel, schedule = point_setup("JACOBI", "Orig", 64)
-    full = run_full("JACOBI", "Orig", 64)
-    for form in FORMS:
-        hier = CacheHierarchy(CFG.levels)
-        hier.attach_classifiers([MissClassifier(CFG.l1), None])
-        stats, report = simulate_extrapolated(kern, sel, schedule, hier,
-                                              trace_form=form)
-        assert not report.fired
-        assert report.reason == "classifiers"
-        assert_same_stats(stats, full)
+    hier = CacheHierarchy(CFG.levels)
+    hier.attach_classifiers([MissClassifier(CFG.l1), None])
+    stats, report = simulate_extrapolated(kern, sel, schedule, hier)
+    assert not report.fired
+    assert report.reason == "classifiers"
+    assert_same_stats(stats, run_full("JACOBI", "Orig", 64))
 
 
 def test_fallback_reason_level_not_direct_mapped():
     cfg = ExperimentConfig(l1=CFG.l1,
                            l2=CacheParams(65536, 64, 2, "L2"),
                            machine=ULTRASPARC2_360, nk=8)
-    report = reports_over_forms("JACOBI", "Orig", 64, cfg)
+    report = checked_report("JACOBI", "Orig", 64, cfg)
     assert not report.fired
     assert report.reason == "level_not_direct_mapped"
 
@@ -199,11 +184,11 @@ def test_run_point_records_extrapolated_flag():
 
 
 def test_run_point_extrapolate_fallback_not_flagged():
-    # Ineligible by construction: the tiled schedule, in either form.
-    for form in FORMS:
-        r = run_point("JACOBI", "GcdPad", 64, CFG,
-                      policy=PointPolicy(trace_form=form))
-        assert not r.extrapolated
+    # Ineligible by construction: the tiled schedule. A budget routes
+    # the point around the memo, so it is simulated here.
+    r = run_point("JACOBI", "GcdPad", 64, CFG,
+                  policy=PointPolicy(budget=PointBudget()))
+    assert not r.extrapolated
 
 
 def test_sweep_option_marks_points(tmp_path):
@@ -220,11 +205,10 @@ def test_sweep_option_marks_points(tmp_path):
 def test_extrapolated_point_is_one_engine_run():
     # The plane filter feeds one CacheHierarchy.run; it never starts
     # a run per plane.
-    for form in FORMS:
-        with metrics.collect() as reg:
-            _, report = run_extrapolated("JACOBI", "Orig", 64, form=form)
-        assert report.fired
-        assert reg.counter_total("repro.cache.engine_runs") == 1
+    with metrics.collect() as reg:
+        _, report = run_extrapolated("JACOBI", "Orig", 64)
+    assert report.fired
+    assert reg.counter_total("repro.cache.engine_runs") == 1
 
 
 def test_metrics_classify_instead_of_extrapolating():

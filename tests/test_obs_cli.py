@@ -181,41 +181,6 @@ class TestEngineSupportLine:
         assert "engine support:" not in format_report(summarize([]))
 
 
-class TestTraceCompressionLine:
-    """Run-compression counters reach the obs-report rendering."""
-
-    def test_summarize_and_render(self):
-        metrics = {"counters": [
-            {"name": "repro.trace.run_chunks", "labels": {}, "value": 4},
-            {"name": "repro.trace.runs", "labels": {}, "value": 200},
-            {"name": "repro.trace.run_addresses", "labels": {},
-             "value": 50_000},
-            {"name": "repro.trace.run_fallback",
-             "labels": {"reason": "small_chunk"}, "value": 3},
-            {"name": "repro.cache.run_windows",
-             "labels": {"outcome": "runs"}, "value": 5},
-            {"name": "repro.cache.run_windows",
-             "labels": {"outcome": "unprofitable"}, "value": 2},
-            {"name": "repro.cache.run_elements",
-             "labels": {"path": "runs"}, "value": 30_000},
-            {"name": "repro.cache.run_elements",
-             "labels": {"path": "materialized"}, "value": 10_000},
-        ]}
-        s = summarize([], metrics)
-        assert s.run_chunks == 4 and s.run_count == 200
-        assert s.run_fallbacks == {"small_chunk": 3}
-        assert s.run_windows == {"runs": 5, "unprofitable": 2}
-        out = format_report(s)
-        assert ("trace compression: 4 run chunks "
-                "(200 runs for 50000 addresses, 250.0:1)"
-                ", fallbacks [3 small_chunk]"
-                "; engine windows [5 runs, 2 unprofitable]"
-                ", 75% of elements on the closed-form path") in out
-
-    def test_clean_slate_renders_no_compression_line(self):
-        assert "trace compression:" not in format_report(summarize([]))
-
-
 def test_events_are_json_serializable_all_the_way(tmp_path):
     """No repr-fallback records in a normal run (schema stays parseable)."""
     runner.clear_cache()

@@ -73,3 +73,35 @@ class TestTraceChunks:
 
         out = list(trace_chunks(chunks(), refs))
         assert len(out) == 1
+
+
+class TestTraceChunk:
+    def _first(self, writes_at, structured=True):
+        specs = allocate([("A", 6, 6, 6)])
+        refs = [Ref(specs["A"], d, 0, 0, is_write=d in writes_at)
+                for d in (-1, 0, 1)]
+        return next(iter(trace_chunks(untiled_3d(6, 6), refs,
+                                      structured=structured)))
+
+    def test_read_addresses_are_a_view_of_the_read_matrix(self):
+        chunk = self._first(writes_at=(1,))
+        reads = chunk.read_addresses
+        assert np.shares_memory(reads, chunk.read_matrix)
+        assert chunk.read_matrix.flags.c_contiguous
+        writes = np.tile(chunk.wmask_row, chunk.n_iters)
+        assert np.array_equal(reads, chunk.addresses[~writes])
+        assert len(chunk) == chunk.n_addresses == reads.size + chunk.writes
+
+    def test_interleaving_follows_program_order(self):
+        # A write between two reads: the structured chunk's interleaved
+        # stream and the pair form both put it in its program position.
+        mid = self._first(writes_at=(0,))
+        addrs, w = self._first(writes_at=(0,), structured=False)
+        flat = self._first(writes_at=())
+        assert np.array_equal(mid.addresses, flat.addresses)
+        assert np.array_equal(addrs, flat.addresses)
+        assert w.reshape(-1, 3).tolist() == \
+            [[False, True, False]] * mid.n_iters
+        assert np.array_equal(mid.read_addresses,
+                              flat.addresses.reshape(-1, 3)[:, [0, 2]]
+                              .reshape(-1))
