@@ -2,7 +2,7 @@
 
 Every internal call site that needs a level simulator for a
 :class:`~repro.cache.params.CacheParams` — hierarchy construction
-(:func:`repro.cache.hierarchy.build_level`), TLB modeling
+(:class:`repro.cache.hierarchy.CacheHierarchy`), TLB modeling
 (:func:`repro.cache.tlb.build_tlb`) — routes through
 :func:`build_simulator`, so the geometry→implementation policy lives
 here and nowhere else. Every choice is a

@@ -90,15 +90,6 @@ class HierarchyStats:
         return "  ".join(parts)
 
 
-def build_level(params: CacheParams) -> CacheLevel:
-    """Pick the fastest simulator able to model ``params``.
-
-    Thin wrapper over :func:`repro.cache.factory.build_simulator`, the
-    single home of the geometry→simulator policy.
-    """
-    return build_simulator(params)
-
-
 @dataclass(frozen=True)
 class LevelSupport:
     """How the engine drives one hierarchy level."""
@@ -171,7 +162,7 @@ class CacheHierarchy:
             raise ConfigurationError("hierarchy needs at least one level")
         self.params = list(levels)
         self.write_policy = write_policy
-        self._levels: list[CacheLevel] = [build_level(p) for p in levels]
+        self._levels: list[CacheLevel] = [build_simulator(p) for p in levels]
         # Statistics carried over from invalidated level instances, so a
         # mid-stream invalidate never loses counts (see module docstring).
         self._carry: list[CacheStats] = [CacheStats() for _ in levels]

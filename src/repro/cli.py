@@ -13,8 +13,6 @@ Exposes the library's main entry points without writing any Python:
     python -m repro section1
     python -m repro cache info --point-cache DIR
     python -m repro fsck PATH [--repair]
-    python -m repro bench compare OLD.json NEW.json
-    python -m repro bench trend BENCH_DIR [--gate PCT]
     python -m repro obs-report run.jsonl [--metrics metrics.json]
     python -m repro runs list|show|gc --run-dir DIR
     python -m repro watch RUN_DIR [--once]
@@ -256,29 +254,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("section1", help="Section 1: capacity thresholds",
                         parents=[obsopts])
 
-    sp = sub.add_parser("bench",
-                        help="compare bench reports or trend a history "
-                             "of them",
-                        parents=[logopts])
-    sp.add_argument("action", choices=["compare", "trend"],
-                    help="compare: per-point speedup of NEW over OLD; "
-                         "trend: latest report in a directory vs the "
-                         "median of its predecessors")
-    sp.add_argument("old", metavar="OLD.json|DIR",
-                    help="baseline bench report (compare) or a "
-                         "directory of BENCH_*.json reports (trend)")
-    sp.add_argument("new", metavar="NEW.json", nargs="?",
-                    help="fresh bench report to compare against OLD "
-                         "(compare only)")
-    sp.add_argument("--force", action="store_true",
-                    help="compare even when the reports' config "
-                         "fingerprints differ (different workloads; "
-                         "speedups are then not meaningful)")
-    sp.add_argument("--gate", type=float, metavar="PCT",
-                    help="trend only: exit 1 when any point's latest "
-                         "time regresses more than PCT%% against the "
-                         "median of prior reports")
-
     sp = sub.add_parser("cache", help="inspect/empty a --point-cache store",
                         parents=[logopts])
     sp.add_argument("action", choices=["info", "clear"],
@@ -429,19 +404,6 @@ def _validate(args) -> None:
         raise ConfigurationError(
             f"--chunk-size must be >= 0 (0 = unbounded), "
             f"got {args.chunk_size}")
-    if args.command == "bench":
-        if args.action == "compare" and not args.new:
-            raise ConfigurationError(
-                "bench compare needs two reports: OLD.json NEW.json")
-        if args.action == "trend" and args.new:
-            raise ConfigurationError(
-                "bench trend takes one directory of BENCH_*.json reports")
-        if args.gate is not None:
-            if args.action != "trend":
-                raise ConfigurationError("--gate applies to bench trend only")
-            if args.gate <= 0:
-                raise ConfigurationError(
-                    f"--gate must be a positive percentage, got {args.gate}")
     if args.command == "runs":
         if args.keep < 0:
             raise ConfigurationError(
@@ -667,34 +629,6 @@ def _dispatch(args) -> int:
         from repro.experiments.mgrid_app import format_mgrid_app, mgrid_app
 
         print(format_mgrid_app(mgrid_app(finest_level=args.level)))
-
-    elif args.command == "bench":
-        from repro.errors import ExperimentError
-        from repro.perf.bench import (
-            bench_trend,
-            compare_benchmarks,
-            format_compare,
-            format_trend,
-            read_bench,
-            read_bench_dir,
-        )
-
-        if args.action == "trend":
-            trend = bench_trend(read_bench_dir(args.old))
-            print(format_trend(trend, gate=args.gate))
-            if args.gate is not None and any(
-                    row["regressed_pct"] is not None
-                    and row["regressed_pct"] > args.gate
-                    for row in trend["points"]):
-                return 1
-            return 0
-        cmp = compare_benchmarks(read_bench(args.old), read_bench(args.new))
-        if not cmp["fingerprint_match"] and not args.force:
-            raise ExperimentError(
-                f"config fingerprints differ ({cmp['old_fingerprint']} vs "
-                f"{cmp['new_fingerprint']}): the reports benched "
-                f"different workloads; pass --force to compare anyway")
-        print(format_compare(cmp))
 
     elif args.command == "fsck":
         from repro.resilience.fsck import fsck_path

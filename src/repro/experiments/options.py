@@ -47,7 +47,8 @@ class SweepOptions:
     ``point_timeout``   hard per-point wall clock, seconds (SIGKILL under
                         ``parallel``; an in-process wall budget serially)
     ``resume_force``    adopt a checkpoint whose config fingerprint does
-                        not match this run
+                        not match this run (its points are served, but
+                        never copied into ``point_cache``)
     ``point_cache``     persistent point store — a directory path or an
                         open :class:`~repro.perf.store.PointStore`; points
                         are reused across processes and across runs

@@ -612,7 +612,10 @@ def _run_points(keys: list[tuple], cfg: ExperimentConfig,
        store is in use); an exception propagates once every earlier
        point is recorded.
     3. **Record** each result once: journal, then store (never a
-       degraded point), then a status tick. A point from the journal,
+       degraded point; a journal hit only when the store lacks it and
+       the journal was not adopted from another configuration, so a
+       point journaled just before a kill but never stored reaches the
+       store on resume), then a status tick. A point from the journal,
        the store or the pool also gets its ``repro.runner.points``
        count and one ``point`` event here; an in-process point already
        has both from its ``run_point`` span. Workers never touch the
@@ -631,7 +634,10 @@ def _run_points(keys: list[tuple], cfg: ExperimentConfig,
         payload = _point_to_payload(result)
         if journal is not None and source != "journal":
             journal.record(key, payload)
-        if store is not None and not cached and not result.degraded:
+        if (store is not None and source != "store" and not result.degraded
+                and not (source == "journal"
+                         and (journal.adopted_from is not None
+                              or store.has(fp, key)))):
             store.put(fp, key, payload)
         if source is not None:
             metrics.inc("repro.runner.points", mode=(

@@ -81,7 +81,7 @@ class Session:
     #: ``LEDGER/<run_id>`` when the session runs under ``--run-dir``.
     run_path: pathlib.Path | None = None
     #: Caller-extensible artifact paths recorded into the manifest
-    #: (the CLI seeds journal/store/CSV; ``bench`` adds its output).
+    #: (the CLI seeds journal/store/CSV).
     artifacts: dict = field(default_factory=dict)
 
 

@@ -12,7 +12,7 @@ keeps everything the run produced in one place::
 
 The manifest is written at session start (``outcome: "running"``) and
 finalized on exit with the outcome, wall time, a config fingerprint,
-artifact paths (journal / point store / CSV / bench output / trace),
+artifact paths (journal / point store / CSV / trace),
 and a final metrics digest including ``repro.sim.point_seconds``
 percentiles. Writes are atomic and CRC-stamped with
 :mod:`repro.resilience.integrity` — a manifest that fails its checksum

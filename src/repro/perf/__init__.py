@@ -1,7 +1,6 @@
-"""Performance layer: point/trace caching, timing, benchmarking.
+"""Performance layer: the persistent point store and timing helpers.
 
-Three cooperating pieces sitting beside (not inside) the experiment
-harness:
+Two pieces sitting beside (not inside) the experiment harness:
 
 * :mod:`~repro.perf.store` — a content-addressed, on-disk **point
   store**: simulated :class:`~repro.experiments.runner.PointResult`
@@ -12,12 +11,11 @@ harness:
   supervisor — skip already-simulated points across processes and
   across runs.
 * :mod:`~repro.perf.timing` — the one copy of the monotonic-clock
-  boilerplate shared by every benchmark (``benchmarks/``), so timing
-  conventions (perf_counter, best-of-N) cannot drift between harnesses.
-* :mod:`~repro.perf.bench` — the sweep benchmark harness: times trace
-  generation, L1 / L1+L2 simulation, and end-to-end points, and emits
-  ``BENCH_sweep.json`` so the repo's performance trajectory is data,
-  not anecdote.
+  boilerplate shared by the perf-smoke gates (``benchmarks/``), so
+  timing conventions (perf_counter, best-of-N) cannot drift between
+  them.
+
+The benchmark of record is ``perfbench/run.py``, outside the package.
 """
 
 from repro.perf.store import PointStore, StoreInfo

@@ -190,6 +190,12 @@ class PointStore:
         events.emit("point_cache", op="hit", key=list(key))
         return entry["payload"]
 
+    def has(self, fingerprint: str, key: tuple) -> bool:
+        """Whether an entry for ``key`` is on disk: no LRU touch, no hit
+        or miss counted, and not verified (a damaged entry counts until
+        :meth:`get` or ``repro fsck --repair`` quarantines it)."""
+        return self._entry_path(fingerprint, key).exists()
+
     def _miss(self, key: tuple) -> None:
         metrics.inc("repro.perf.point_cache_misses")
         events.emit("point_cache", op="miss", key=list(key))

@@ -1,10 +1,11 @@
 """Shared wall-clock timing helpers for benchmarks.
 
-Every benchmark in this repo (``benchmarks/overhead_smoke.py``, the
-sweep perf harness, ad-hoc scripts) needs the same three lines of
-monotonic-clock boilerplate; this module is the single copy. All
-timings use :func:`time.perf_counter` — monotonic, highest available
-resolution, immune to wall-clock adjustments.
+Every timing in ``benchmarks/`` (``overhead_smoke.py``, the
+associative speed gates of ``test_bench_sweep_perf.py``, ad-hoc
+scripts) needs the same three lines of monotonic-clock boilerplate;
+this module is the single copy. All timings use
+:func:`time.perf_counter` — monotonic, highest available resolution,
+immune to wall-clock adjustments.
 """
 
 from __future__ import annotations

@@ -29,7 +29,10 @@ Durability contract:
   :class:`repro.errors.CheckpointError`: silently mixing or dropping
   results would corrupt the science. ``repro fsck --repair`` inspects
   and quarantines damage explicitly; ``force=True`` (the CLI's
-  ``--resume-force``) overrides a fingerprint mismatch only.
+  ``--resume-force``) overrides a fingerprint mismatch only. The header
+  of an adopted journal keeps the fingerprint it held before as
+  ``adopted_from``, through every later rewrite, so its records are
+  never mistaken for ones computed under the new configuration.
 
 Schema versioning: the header carries ``version`` and every point
 record a ``v`` (both currently 3). Version 1 (PR 1) lacked per-record
@@ -212,6 +215,7 @@ class CheckpointJournal:
                  records: dict[tuple, dict]):
         self._path = path
         self._fingerprint = fp
+        self._adopted_from: str | None = None
         self._records = records
         self._lock = FileLock(path.with_name(path.name + ".lock"))
         #: (st_mtime_ns, st_size) of the file as this process last wrote
@@ -260,6 +264,7 @@ class CheckpointJournal:
             self._flush()
             return
         header, records, migrate = _records_from_lines(path, lines)
+        self._adopted_from = header.get("adopted_from")
         theirs = header.get("fingerprint")
         if theirs != self._fingerprint:
             if not force:
@@ -279,6 +284,7 @@ class CheckpointJournal:
                         journal_fingerprint=theirs,
                         run_fingerprint=self._fingerprint,
                         points=len(records))
+            self._adopted_from = self._adopted_from or theirs
             migrate = True
         self._records = records
         if migrate:
@@ -303,6 +309,12 @@ class CheckpointJournal:
     @property
     def fingerprint(self) -> str:
         return self._fingerprint
+
+    @property
+    def adopted_from(self) -> str | None:
+        """Fingerprint this journal held before ``force`` first adopted
+        it under another configuration; ``None`` if it never was."""
+        return self._adopted_from
 
     def __len__(self) -> int:
         return len(self._records)
@@ -352,7 +364,8 @@ class CheckpointJournal:
         Our in-memory record wins on a key both sides have — payloads
         for a given key are deterministic, so the difference can only
         be formatting. A concurrent writer under a *different*
-        fingerprint is a configuration error, not mergeable data.
+        fingerprint is a configuration error, not mergeable data; an
+        ``adopted_from`` mark it wrote is kept.
         """
         try:
             st = os.stat(self._path)
@@ -370,6 +383,7 @@ class CheckpointJournal:
                 f"fingerprint ({header.get('fingerprint')!r}) while this "
                 f"run (fingerprint {self._fingerprint!r}) held it open; "
                 f"refusing to mix results")
+        self._adopted_from = self._adopted_from or header.get("adopted_from")
         merged = 0
         for key, payload in theirs.items():
             if key not in self._records:
@@ -385,9 +399,11 @@ class CheckpointJournal:
             metrics.inc("repro.resilience.checkpoint.merged_points", merged)
 
     def _flush(self) -> None:
-        lines = [json.dumps(attach_crc(
-            {"kind": "header", "version": _FORMAT_VERSION,
-             "fingerprint": self._fingerprint}))]
+        header = {"kind": "header", "version": _FORMAT_VERSION,
+                  "fingerprint": self._fingerprint}
+        if self._adopted_from is not None:
+            header["adopted_from"] = self._adopted_from
+        lines = [json.dumps(attach_crc(header))]
         for key, payload in self._records.items():
             lines.append(json.dumps(attach_crc(
                 {"kind": "point", "v": _FORMAT_VERSION,

@@ -208,9 +208,11 @@ def _repair_journal(path: pathlib.Path, header: dict, good: list[dict],
         quarantine_file(path, reason="fsck --repair: journal contained "
                         "damaged records", artifact="journal",
                         root=path.parent)
-        lines = [json.dumps(attach_crc(
-            {"kind": "header", "version": _ckpt._FORMAT_VERSION,
-             "fingerprint": header.get("fingerprint")}))]
+        head = {"kind": "header", "version": _ckpt._FORMAT_VERSION,
+                "fingerprint": header.get("fingerprint")}
+        if header.get("adopted_from") is not None:
+            head["adopted_from"] = header["adopted_from"]
+        lines = [json.dumps(attach_crc(head))]
         for rec in good:
             lines.append(json.dumps(attach_crc(
                 {"kind": "point", "v": _ckpt._FORMAT_VERSION,

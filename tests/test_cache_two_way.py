@@ -89,10 +89,10 @@ class TestAgainstScalar:
 
 
 class TestHierarchyIntegration:
-    def test_build_level_picks_two_way(self):
-        from repro.cache.hierarchy import build_level
+    def test_build_simulator_picks_two_way(self):
+        from repro.cache.factory import build_simulator
 
-        lvl = build_level(params())
+        lvl = build_simulator(params())
         assert isinstance(lvl, TwoWayCache)
 
     def test_two_way_absorbs_direct_mapped_conflicts(self):

@@ -1,5 +1,7 @@
 """Tests for the command-line interface."""
 
+import importlib
+
 import pytest
 
 from repro.cli import build_parser, main
@@ -74,6 +76,18 @@ class TestParser:
             argv += ["--n", "64"]
         with pytest.raises(SystemExit):
             build_parser().parse_args(argv)
+
+    def test_bench_command_is_gone(self, tmp_path, capsys):
+        # perfbench/ is the one benchmark harness.
+        with pytest.raises(SystemExit) as exc:
+            main(["bench", "trend", str(tmp_path)])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "invalid choice" in err and "bench" in err
+
+    def test_bench_module_is_gone(self):
+        with pytest.raises(ModuleNotFoundError):
+            importlib.import_module(".bench", "repro.perf")
 
 
 class TestValidation:

@@ -83,6 +83,15 @@ class TestFsckJournal:
         assert j.get(("K", 2)) == {"x": 2}
         assert j.get(("K", 1)) is None  # the damaged record was dropped
 
+    def test_repair_keeps_the_adoption_mark(self, tmp_path):
+        path = tmp_path / "j.jsonl"
+        make_journal(path)
+        with pytest.warns(UserWarning, match="overridden"):
+            CheckpointJournal.open(path, "other-fp", force=True)
+        flip_payload(path, 2)
+        assert fsck_journal(path, repair=True).repaired
+        assert CheckpointJournal.open(path, "other-fp").adopted_from == FP
+
     def test_missing_header_is_fatal_and_unrepaired(self, tmp_path):
         path = tmp_path / "j.jsonl"
         path.write_text(json.dumps(

@@ -265,6 +265,16 @@ class TestJournalVersioning:
         j2 = CheckpointJournal.open(path, other)
         assert j2.get(("K", 1)) == {"x": 1}
 
+    def test_adoption_is_remembered_across_rewrites(self, tmp_path):
+        path = tmp_path / "j.jsonl"
+        CheckpointJournal.open(path, self.FP).record(("K", 1), {"x": 1})
+        assert CheckpointJournal.open(path, self.FP).adopted_from is None
+        other = "beef" * 16
+        with pytest.warns(CheckpointWarning, match="overridden"):
+            CheckpointJournal.open(path, other, force=True)
+        CheckpointJournal.open(path, other).record(("K", 2), {"x": 2})
+        assert CheckpointJournal.open(path, other).adopted_from == self.FP
+
     def test_force_is_noop_when_fingerprints_match(self, tmp_path):
         path = tmp_path / "j.jsonl"
         CheckpointJournal.open(path, self.FP).record(("K", 1), {"x": 1})

@@ -16,6 +16,7 @@ import pytest
 from repro.errors import CheckpointError, ConfigurationError
 from repro.experiments.options import PointPolicy, SweepOptions
 from repro.experiments.runner import (
+    _analytic_point,
     _check_payload,
     _point_to_payload,
     config_fingerprint,
@@ -175,6 +176,61 @@ class TestJournalInterop:
         # The adopted journal's point is served as-is (nk still the
         # original config's) — that is what "trusted as-is" means.
         assert res["Orig"][0].nk == tiny_config.nk
+
+    def test_adopted_journal_points_stay_out_of_the_store(
+            self, tmp_path, tiny_config, tiny_l1, tiny_l2):
+        from repro.experiments.config import ExperimentConfig
+        from repro.resilience import CheckpointWarning
+
+        ckpt, cache = tmp_path / "f.jsonl", tmp_path / "store"
+        sweep("JACOBI", ["Orig"], [40], tiny_config,
+              options=SweepOptions(checkpoint=ckpt))
+        other = ExperimentConfig(l1=tiny_l1, l2=tiny_l2, nk=5)
+        with pytest.warns(CheckpointWarning, match="overridden"):
+            sweep("JACOBI", ["Orig"], [40], other,
+                  options=SweepOptions(checkpoint=ckpt, resume_force=True,
+                                       point_cache=cache))
+        # A plain resume of the rebound journal still knows it was adopted.
+        sweep("JACOBI", ["Orig"], [40], other,
+              options=SweepOptions(checkpoint=ckpt, point_cache=cache))
+        assert PointStore(cache).info().entries == 0
+        # So a journal-less run under the new config simulates its point
+        # instead of being served the old config's numbers.
+        res = sweep("JACOBI", ["Orig"], [40], other,
+                    options=SweepOptions(point_cache=cache))
+        assert res["Orig"][0].nk == other.nk
+
+    @pytest.mark.parametrize("parallel", [1, 2])
+    def test_exact_journal_hits_reach_the_store(self, tmp_path, tiny_config,
+                                                parallel):
+        # A point journaled just before a kill but never stored must
+        # reach the store on resume; a degraded one never does, and a
+        # hit the store already holds is not written again.
+        ckpt, cache = tmp_path / "j.jsonl", tmp_path / "store"
+        journal = open_journal(ckpt, tiny_config)
+        exact = [("JACOBI", "Orig", 40), ("JACOBI", "GcdPad", 40)]
+        degraded = ("JACOBI", "Pad", 40)
+        points = {key: run_point(*key, tiny_config) for key in exact}
+        points[degraded] = _analytic_point(*degraded, tiny_config)
+        for key, point in points.items():
+            journal.record(key, _point_to_payload(point))
+        opts = SweepOptions(checkpoint=ckpt, point_cache=cache,
+                            parallel=parallel)
+        inj = faults.FaultInjector()
+        with faults.inject(inj):
+            sweep("JACOBI", ["Orig", "GcdPad", "Pad"], [40], tiny_config,
+                  options=opts)
+        assert inj.calls("simulate") == 0
+        store, fp = PointStore(cache), config_fingerprint(tiny_config)
+        assert store.info().entries == 2
+        for key in exact:
+            assert _check_payload(key, store.get(fp, key)) == points[key]
+        assert store.get(fp, degraded) is None
+        with metrics.collect() as reg:
+            sweep("JACOBI", ["Orig", "GcdPad", "Pad"], [40], tiny_config,
+                  options=opts)
+        assert not [c for c in reg.snapshot()["counters"]
+                    if c["name"] == "repro.perf.point_cache_puts"]
 
     @staticmethod
     def _mangled_v2_journal(tmp_path, cfg):
