@@ -16,6 +16,7 @@ import pathlib
 import pytest
 
 from repro.experiments.config import ExperimentConfig
+from repro.perf.store import PointStore
 from repro.resilience.atomic import atomic_write_text
 
 OUT_DIR = pathlib.Path(__file__).parent / "out"
@@ -31,6 +32,17 @@ def out_dir() -> pathlib.Path:
 def cfg() -> ExperimentConfig:
     """The paper's configuration (16K L1 / 2M L2, 360 MHz)."""
     return ExperimentConfig()
+
+
+@pytest.fixture(scope="session")
+def point_store(tmp_path_factory) -> PointStore:
+    """One point store for the session's Table 3 and figure sweeps.
+
+    Nothing is memoized in process, so the figure benches would
+    otherwise re-simulate every point the Table 3 bench already ran.
+    Pass it as ``SweepOptions(point_cache=point_store)``.
+    """
+    return PointStore(tmp_path_factory.mktemp("points"))
 
 
 def emit(out_dir: pathlib.Path, name: str, text: str) -> None:

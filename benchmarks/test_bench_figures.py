@@ -9,6 +9,7 @@ Tile/Euc3D across sizes, and never worse than Orig on average.
 import pytest
 
 from repro.experiments.figures import figure_series, format_figure
+from repro.experiments.options import SweepOptions
 
 from conftest import emit
 
@@ -20,9 +21,11 @@ FIGURES = {
 
 
 @pytest.mark.parametrize("kernel", list(FIGURES))
-def test_kernel_figures(benchmark, out_dir, cfg, kernel):
-    data = benchmark.pedantic(lambda: figure_series(kernel, cfg=cfg),
-                              rounds=1, iterations=1)
+def test_kernel_figures(benchmark, out_dir, cfg, point_store, kernel):
+    options = SweepOptions(point_cache=point_store)
+    data = benchmark.pedantic(
+        lambda: figure_series(kernel, cfg=cfg, options=options),
+        rounds=1, iterations=1)
     miss_name, mflops_name = FIGURES[kernel]
     miss_txt = (format_figure(data, "l1_rate", "L1 miss rate (%)")
                 + "\n\n" + format_figure(data, "l2_rate", "L2 miss rate (%)"))

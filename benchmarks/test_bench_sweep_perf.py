@@ -24,7 +24,6 @@ from repro.cache.params import CacheParams
 from repro.cache.set_assoc import SetAssociativeCache
 from repro.core.selector import select
 from repro.experiments.config import ExperimentConfig
-from repro.experiments.options import PointPolicy
 from repro.experiments.runner import run_point
 from repro.kernels import Jacobi3D
 from repro.perf.timing import best_of
@@ -39,7 +38,7 @@ def tiny_config() -> ExperimentConfig:
         machine=ULTRASPARC2_360, nk=8)
 
 
-def _assoc_speedup(assoc: int, n: int = 64, repeats: int = 2) -> float:
+def _assoc_speedup(assoc: int, n: int = 96, repeats: int = 3) -> float:
     """Scalar-reference seconds over engine seconds at ``assoc`` ways.
 
     Materializes one JACOBI Orig trace under the default config with
@@ -82,30 +81,37 @@ def test_assoc_sweep_beats_scalar_reference(assoc, floor):
     geometry sweep at >= ``floor`` x the scalar exact-LRU reference.
 
     Measured with :func:`_assoc_speedup` on a shared 2-vCPU host
-    (JACOBI Orig N=64, NK=11, 18 runs): 2-way (``TwoWayCache``)
-    8.1-11.3x, 4-way 2.0-3.3x and 8-way 1.6-3.3x (``AssocScanCache``),
-    where a merge-count for every run head ran at 0.8-1.0x. The floors
-    leave room for runner noise while still catching a fallback to the
-    scalar path or a k-way verdict that costs as much as the reference
-    again.
+    (JACOBI Orig N=96, NK=11, best of 3, about 1 s per call): 2-way
+    (``TwoWayCache``) 10.8-13.4x over 8 runs, 4-way 1.65-3.36x and
+    8-way 1.75-3.10x (``AssocScanCache``) over 16, where a merge-count
+    for every run head ran at 0.8-1.0x. At N=64, best of 2, the engine
+    side took only 10-16 ms and 8 runs read 4-way 1.76-2.59x and 8-way
+    1.54-3.23x. The floors leave room for runner noise while still
+    catching a fallback to the scalar path or a k-way verdict that
+    costs as much as the reference again.
     """
     speedup = _assoc_speedup(assoc)
     assert speedup >= floor, f"{assoc}-way speedup {speedup:.2f}x"
 
 
-def test_disabled_cache_path_differential(tiny_config):
+def test_disabled_cache_path_differential(tiny_config, monkeypatch):
     """Chunk-streamed simulation must stay exact with no point cache.
 
     This is the perf job's regression gate: if chunking ever changed
-    simulated numbers, the fast path would be fast and wrong.
+    simulated numbers, the fast path would be fast and wrong. The
+    generator reads its bound at call time, so patching
+    ``DEFAULT_CHUNK_ADDRESSES`` (``0`` = unbounded) re-chunks every
+    trace of a point, the extrapolated Orig points' included.
     """
+    bound = "repro.trace.generator.DEFAULT_CHUNK_ADDRESSES"
     for kernel in ("JACOBI", "RESID"):
         for strategy in ("Orig", "GcdPad"):
-            mono = run_point(kernel, strategy, 48, tiny_config,
-                             policy=PointPolicy(chunk_size=0))
+            monkeypatch.setattr(bound, 0)
+            mono = run_point(kernel, strategy, 48, tiny_config)
+            assert mono.extrapolated == (strategy == "Orig"), mono
             for chunk in (64, 1024, 100_000):
-                chunked = run_point(kernel, strategy, 48, tiny_config,
-                                    policy=PointPolicy(chunk_size=chunk))
+                monkeypatch.setattr(bound, chunk)
+                chunked = run_point(kernel, strategy, 48, tiny_config)
                 assert chunked == mono, (kernel, strategy, chunk)
 
 

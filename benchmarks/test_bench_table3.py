@@ -7,15 +7,17 @@ Expected shape (paper values in EXPERIMENTS.md): padded tiling
 small win; REDBLACK gains most; RESID least.
 """
 
+from repro.experiments.options import SweepOptions
 from repro.experiments.table3 import format_table3, table3
 from repro.experiments.transforms_table import format_table2
 
 from conftest import emit
 
 
-def test_table3(benchmark, out_dir, cfg):
-    res = benchmark.pedantic(lambda: table3(cfg=cfg), rounds=1,
-                             iterations=1)
+def test_table3(benchmark, out_dir, cfg, point_store):
+    options = SweepOptions(point_cache=point_store)
+    res = benchmark.pedantic(lambda: table3(cfg=cfg, options=options),
+                             rounds=1, iterations=1)
     emit(out_dir, "table2", format_table2())
     emit(out_dir, "table3", format_table3(res))
 

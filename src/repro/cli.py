@@ -20,11 +20,11 @@ Exposes the library's main entry points without writing any Python:
 ``--full`` switches to the paper's sweep density (equivalent to setting
 ``REPRO_FULL=1``). The sweep commands (``table3``, ``figures``) accept
 ``--checkpoint PATH`` to journal completed points and resume after an
-interruption, ``--resume`` to insist the journal already exists,
-``--resume-force`` to adopt a journal whose config fingerprint does not
-match this run, and ``--budget SECONDS`` to cap each point's exact
-simulation (over-budget points degrade to the analytic miss model and
-are flagged in the output). ``--parallel N`` fans sweep points out to N
+interruption (a journal written under another configuration is
+refused), ``--resume`` to insist the journal already exists, and
+``--budget SECONDS`` to cap each point's exact simulation (over-budget
+points degrade to the analytic miss model and are flagged in the
+output). ``--parallel N`` fans sweep points out to N
 supervised worker processes — a crashed, hung, or over-
 ``--point-timeout`` worker is SIGKILLed, retried, and finally
 quarantined to the analytic model, so the sweep always completes with a
@@ -42,11 +42,9 @@ records so the artifact is clean again.
 
 Sweeps carrying a checkpoint or point cache drain gracefully on
 SIGINT/SIGTERM: in-flight points finish and journal, the command exits
-130, and re-running resumes from the journal. ``--chunk-size N`` bounds
-the addresses materialized per trace chunk (0 = unbounded; results are
-bit-for-bit identical either way). Every exact point runs exact
-steady-state K-plane extrapolation: untiled points stop simulating once
-their per-plane statistics provably repeat (shift-equivalent cache
+130, and re-running resumes from the journal. Every exact point runs
+exact steady-state K-plane extrapolation: untiled points stop simulating
+once their per-plane statistics provably repeat (shift-equivalent cache
 tags) and the rest is costed in closed form — identical miss counts,
 flagged per point (``simulate`` prints ``[extrapolated]``); ineligible
 points, and every point under ``--metrics`` (3C classification must see
@@ -136,10 +134,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="require that --checkpoint already exists "
                              "(guards against typos silently starting "
                              "a fresh sweep)")
-        sp.add_argument("--resume-force", action="store_true",
-                        help="adopt a --checkpoint journal even when its "
-                             "config fingerprint does not match this run "
-                             "(its points are trusted as-is)")
         sp.add_argument("--budget", type=float, metavar="SECONDS",
                         help="per-point wall-clock budget; over-budget "
                              "points degrade to the analytic miss model "
@@ -160,10 +154,6 @@ def build_parser() -> argparse.ArgumentParser:
                              "are reused across runs and processes "
                              "(size-bounded, LRU; see "
                              "REPRO_POINT_CACHE_BYTES)")
-        sp.add_argument("--chunk-size", type=int, metavar="N",
-                        help="addresses per simulated trace chunk "
-                             "(bounds memory; 0 = unbounded; default: "
-                             "a ~1M-address bound)")
 
     sp = sub.add_parser("select", help="run one tile-selection strategy",
                         parents=[obsopts])
@@ -386,9 +376,6 @@ def _validate(args) -> None:
             raise ExperimentError(
                 f"--resume: checkpoint {args.checkpoint} does not exist; "
                 f"drop --resume to start a fresh journaled sweep")
-    if getattr(args, "resume_force", False) and not getattr(
-            args, "checkpoint", None):
-        raise ExperimentError("--resume-force requires --checkpoint PATH")
     if getattr(args, "budget", None) is not None and args.budget <= 0:
         raise ConfigurationError(
             f"--budget must be positive seconds, got {args.budget}")
@@ -400,10 +387,6 @@ def _validate(args) -> None:
         raise ConfigurationError(
             f"--point-timeout must be positive seconds, "
             f"got {args.point_timeout}")
-    if getattr(args, "chunk_size", None) is not None and args.chunk_size < 0:
-        raise ConfigurationError(
-            f"--chunk-size must be >= 0 (0 = unbounded), "
-            f"got {args.chunk_size}")
     if args.command == "runs":
         if args.keep < 0:
             raise ConfigurationError(
@@ -431,9 +414,7 @@ def _sweep_options(args):
         budget=budget,
         parallel=getattr(args, "parallel", 1),
         point_timeout=getattr(args, "point_timeout", None),
-        resume_force=getattr(args, "resume_force", False),
-        point_cache=getattr(args, "point_cache", None) or None,
-        chunk_size=getattr(args, "chunk_size", None))
+        point_cache=getattr(args, "point_cache", None) or None)
 
 
 def main(argv: Sequence[str] | None = None) -> int:
@@ -549,10 +530,7 @@ def _dispatch(args) -> int:
         from repro.experiments.options import PointPolicy
         from repro.experiments.runner import open_store, run_point
 
-        policy = None
-        if args.point_cache or args.chunk_size is not None:
-            policy = PointPolicy(store=open_store(args.point_cache or None),
-                                 chunk_size=args.chunk_size)
+        policy = PointPolicy(store=open_store(args.point_cache or None))
         p = run_point(args.kernel, args.strategy, args.n, ExperimentConfig(),
                       policy=policy)
         marker = " [extrapolated]" if p.extrapolated else ""
@@ -638,12 +616,13 @@ def _dispatch(args) -> int:
         return 0 if report.ok else 1
 
     elif args.command == "cache":
-        from repro.experiments.runner import cache_info, clear_cache
+        from repro.perf.store import PointStore
 
+        store = PointStore(args.point_cache)
         if args.action == "info":
-            print(cache_info(args.point_cache).store.summary())
+            print(store.info().summary())
         else:
-            removed = clear_cache(args.point_cache)
+            removed = store.clear()
             print(f"removed {removed} cached point(s) from "
                   f"{args.point_cache}")
 

@@ -101,8 +101,9 @@ class SweepInterrupted(ExperimentError):
 class CheckpointError(ExperimentError):
     """A checkpoint journal is unusable: missing header, corrupted
     beyond the recoverable trailing line, written by a newer format
-    version, or written under a different configuration fingerprint
-    than the resuming run's (override with ``--resume-force``)."""
+    version, written under a different configuration fingerprint than
+    the resuming run's, or once adopted across configurations (its
+    header carries ``adopted_from``)."""
 
 
 class PoolError(ExperimentError):

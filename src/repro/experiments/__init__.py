@@ -13,7 +13,8 @@ Per-experiment entry points (see DESIGN.md's index):
 
 Everything funnels through :func:`~repro.experiments.runner.run_point`,
 which simulates one (kernel, strategy, N) configuration end to end.
-Results are memoized per process so benches can share sweeps.
+Sweeps that should share points pass one persistent point store
+(``SweepOptions(point_cache=...)``); nothing is memoized in process.
 """
 
 from repro.experiments.config import ExperimentConfig, default_sizes

@@ -276,7 +276,6 @@ class _PlaneFilter:
 
 def simulate_extrapolated(kern, sel, schedule, hier: CacheHierarchy, *,
                           inter_pad: int | None = None,
-                          chunk_size: int | None = None,
                           on_chunk=None
                           ) -> tuple[HierarchyStats, ExtrapolationReport]:
     """Simulate a point, extrapolating steady-state planes exactly.
@@ -295,7 +294,7 @@ def simulate_extrapolated(kern, sel, schedule, hier: CacheHierarchy, *,
     reason = _ineligibility(sel, hier, specs)
     if reason is not None:
         stats = hier.run(kern.trace(sel, schedule, inter_pad_cache=inter_pad,
-                                    chunk_size=chunk_size, structured=True),
+                                    structured=True),
                          on_chunk=on_chunk)
         return stats, ExtrapolationReport(
             fired=False, planes_simulated=-1, planes_skipped=0,
@@ -306,7 +305,6 @@ def simulate_extrapolated(kern, sel, schedule, hier: CacheHierarchy, *,
     planes = _PlaneFilter(hier, [plane_bytes // p.line_bytes
                                  for p in hier.params])
     stats = hier.run(trace_chunks(planes.planes(kern.iter_chunks(schedule)),
-                                  kern.refs(specs), max_addresses=chunk_size,
-                                  structured=True),
+                                  kern.refs(specs), structured=True),
                      on_chunk=on_chunk)
     return stats, planes.report()

@@ -54,8 +54,8 @@ def figure_series(kernel: str, sizes: list[int] | None = None,
     """Miss-rate and MFlops series for Figures 14-19.
 
     Execution choices (checkpointing, budgets, parallel workers, the
-    persistent point cache, trace chunk size) travel in ``options`` —
-    see :class:`~repro.experiments.options.SweepOptions`.
+    persistent point cache) travel in ``options`` — see
+    :class:`~repro.experiments.options.SweepOptions`.
     """
     cfg = cfg or ExperimentConfig()
     sizes = sizes or default_sizes()

@@ -112,11 +112,12 @@ def run_lattice(kernel: str, n: int,
     every cell replaces the L1 with its lattice geometry via
     ``dataclasses.replace``, so fingerprints — and therefore point-store
     entries — are per-geometry. ``options`` carries the execution
-    choices that make sense per-cell (store, budget or point timeout,
-    chunk size), projected through :meth:`SweepOptions.point_policy`
-    exactly as a serial sweep's are; ``checkpoint`` is ignored (see
-    module docstring). Cells run extrapolation like any exact point;
-    only direct-mapped L1 cells of untiled strategies are eligible.
+    choices that make sense per-cell (store, budget or point timeout),
+    projected through :meth:`SweepOptions.point_policy` exactly as a
+    serial sweep's are; ``checkpoint`` is ignored (see module
+    docstring). Every cell is simulated unless the store holds it.
+    Cells run extrapolation like any exact point; only direct-mapped L1
+    cells of untiled strategies are eligible.
     """
     cfg = cfg or ExperimentConfig()
     options = options or SweepOptions()

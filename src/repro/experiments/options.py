@@ -5,11 +5,10 @@ frozen dataclasses:
 
 * :class:`SweepOptions` — everything a *sweep* may carry: resilience
   (checkpoint journal, per-point budget), parallelism (worker count,
-  hard point timeout), and performance (persistent point cache, trace
-  chunk size). Passed as one ``options=`` argument.
+  hard point timeout), and reuse (persistent point cache). Passed as
+  one ``options=`` argument.
 * :class:`PointPolicy` — everything *one point's* execution may carry,
-  passed to ``run_point(..., policy=)``. Its :attr:`~PointPolicy.plain`
-  decides whether the in-process memo may serve the point.
+  passed to ``run_point(..., policy=)``.
 
 Both are frozen (hashable, safe to share across threads and to ship to
 worker processes) and validate in ``__post_init__`` so a bad value
@@ -46,28 +45,22 @@ class SweepOptions:
     ``parallel``        worker-process count (1 = serial)
     ``point_timeout``   hard per-point wall clock, seconds (SIGKILL under
                         ``parallel``; an in-process wall budget serially)
-    ``resume_force``    adopt a checkpoint whose config fingerprint does
-                        not match this run (its points are served, but
-                        never copied into ``point_cache``)
     ``point_cache``     persistent point store — a directory path or an
                         open :class:`~repro.perf.store.PointStore`; points
                         are reused across processes and across runs
-    ``chunk_size``      addresses per simulated trace chunk (``None`` =
-                        the generator default, ``0`` = unbounded)
     ==================  ====================================================
 
     Every exact point runs the steady-state K-plane extrapolation
-    (:mod:`repro.experiments.extrapolate`); it is not an option, since
-    it is exact.
+    (:mod:`repro.experiments.extrapolate`) over trace chunks of the
+    generator's one bound; neither is an option, since neither changes
+    a statistic.
     """
 
     checkpoint: "str | os.PathLike | CheckpointJournal | None" = None
     budget: PointBudget | None = None
     parallel: int = 1
     point_timeout: float | None = None
-    resume_force: bool = False
     point_cache: "str | os.PathLike | PointStore | None" = None
-    chunk_size: int | None = None
 
     def __post_init__(self) -> None:
         if self.parallel < 1:
@@ -76,7 +69,6 @@ class SweepOptions:
         if self.point_timeout is not None and self.point_timeout <= 0:
             raise ConfigurationError(
                 f"point_timeout must be positive, got {self.point_timeout}")
-        _check_chunk_size(self.chunk_size)
 
     def point_policy(self, journal=None, store=None) -> "PointPolicy":
         """The per-point policy this sweep implies in-process.
@@ -91,8 +83,7 @@ class SweepOptions:
         budget = self.budget
         if budget is None and self.point_timeout is not None:
             budget = PointBudget(wall_seconds=self.point_timeout)
-        return PointPolicy(budget=budget, journal=journal,
-                           store=store, chunk_size=self.chunk_size)
+        return PointPolicy(budget=budget, journal=journal, store=store)
 
 
 @dataclass(frozen=True)
@@ -108,39 +99,20 @@ class PointPolicy:
     ``journal``     open checkpoint journal consulted before simulating and
                     recorded to after
     ``store``       open persistent point store, likewise
-    ``chunk_size``  addresses per trace chunk (``None`` = default bound,
-                    ``0`` = unbounded); affects memory/timing only — the
-                    simulated statistics are bit-for-bit independent of it
     ==============  ========================================================
 
-    The default policy (all fields default) is the memoized exact fast
-    path. Any non-default field routes around the in-process memo: the
-    journal and store are then the caches of record.
+    The default policy simulates the point exactly under the default
+    budget (unbounded, two retries); the journal and the store are the
+    only caches of points.
     """
 
     analytic: bool = False
     budget: PointBudget | None = None
     journal: "CheckpointJournal | None" = None
     store: "PointStore | None" = None
-    chunk_size: int | None = None
 
     def __post_init__(self) -> None:
-        _check_chunk_size(self.chunk_size)
-        if self.analytic and (self.budget is not None
-                              or self.chunk_size is not None):
+        if self.analytic and self.budget is not None:
             raise ConfigurationError(
-                "an analytic policy simulates nothing: budget/chunk_size "
-                "do not apply")
-
-    @property
-    def plain(self) -> bool:
-        """True when the memoized exact fast path may serve this point."""
-        return (not self.analytic and self.budget is None
-                and self.journal is None and self.store is None
-                and self.chunk_size is None)
-
-
-def _check_chunk_size(chunk_size: int | None) -> None:
-    if chunk_size is not None and chunk_size < 0:
-        raise ConfigurationError(
-            f"chunk_size must be >= 0 (0 = unbounded), got {chunk_size}")
+                "an analytic policy simulates nothing: a budget does not "
+                "apply")

@@ -6,8 +6,8 @@ Pipeline per point:
    capacity, using the kernel's stencil metadata;
 2. array layout with the selected pads;
 3. exact reference trace of the selected schedule, streamed in bounded
-   address chunks (``chunk_size``) so peak memory is O(chunk), not
-   O(trace);
+   address chunks (:data:`~repro.trace.generator.DEFAULT_CHUNK_ADDRESSES`)
+   so peak memory is O(chunk), not O(trace);
 4. two-level direct-mapped simulation (write-around), with steady-state
    K planes costed in closed form wherever that is provably exact
    (:mod:`repro.experiments.extrapolate`);
@@ -18,22 +18,21 @@ Every point runs through one entry point::
     run_point(kernel, strategy, n, cfg, policy=PointPolicy(...))
 
 where the :class:`~repro.experiments.options.PointPolicy` names the
-machinery the point may use — nothing (the memoized exact fast path),
-the analytic miss model, a retry/degrade budget, a checkpoint journal,
-a persistent point store, a trace chunk bound — and sweeps carry the
-same choices in one frozen :class:`~repro.experiments.options.SweepOptions`.
+machinery the point may use — exact simulation under a retry/degrade
+budget (the default), the analytic miss model, a checkpoint journal, a
+persistent point store — and sweeps carry the same choices in one
+frozen :class:`~repro.experiments.options.SweepOptions`.
 
-Caching is layered; a point is served by the first layer that has it:
+A point is served by the first cache that has it, otherwise simulated:
 
 * **journal** — this sweep's fingerprinted JSONL checkpoint
   (:mod:`repro.resilience.checkpoint`): crash/resume within one sweep;
 * **store** — the persistent, content-addressed point cache
   (:mod:`repro.perf.store`): reuse across runs and across processes,
-  keyed by :func:`config_fingerprint` + point key;
-* **memo** — the in-process ``lru_cache`` (plain points only; bounded
-  by ``REPRO_POINT_CACHE`` entries, default 4096), letting Table 3 and
-  the per-figure benches share sweeps within a session; inspect it with
-  :func:`cache_info`.
+  keyed by :func:`config_fingerprint` + point key.
+
+Nothing else caches points: a point with neither is simulated on every
+call.
 
 One scheduler, :func:`_run_points`, serves every sweep and every
 ``run_point`` with a journal or store. It looks each point up
@@ -63,10 +62,8 @@ from __future__ import annotations
 import contextlib
 import logging
 import math
-import os
 import time
 from dataclasses import asdict, dataclass, replace
-from functools import lru_cache
 from typing import Mapping
 
 from repro.cache.classify import MissClassifier
@@ -86,7 +83,7 @@ from repro.experiments.options import PointPolicy, SweepOptions
 from repro.ir.stencil import JACOBI_3D, REDBLACK_6PT, RESID_27PT
 from repro.kernels import KERNELS, Schedule
 from repro.obs import events, metrics
-from repro.perf.store import PointStore, StoreInfo
+from repro.perf.store import PointStore
 from repro.perfmodel.model import RunCounts, predict
 from repro.resilience import (
     CheckpointJournal,
@@ -99,9 +96,8 @@ from repro.resilience import faults
 from repro.resilience.signals import DrainState, graceful_drain
 from repro.types import SelectionResult
 
-__all__ = ["PointResult", "RunnerCacheInfo", "run_point", "sweep",
-           "open_journal", "open_store", "config_fingerprint",
-           "clear_cache", "cache_info"]
+__all__ = ["PointResult", "run_point", "sweep", "open_journal",
+           "open_store", "config_fingerprint"]
 
 log = logging.getLogger(__name__)
 
@@ -187,7 +183,6 @@ def _record_sim_metrics(hier: CacheHierarchy, stats, seconds: float) -> None:
 def _simulate_exact(kernel_name: str, strategy: str, n: int,
                     cfg: ExperimentConfig,
                     budget: PointBudget | None = None,
-                    chunk_size: int | None = None,
                     clock=time.monotonic) -> PointResult:
     """One exact trace simulation, optionally under a budget's deadline.
 
@@ -197,9 +192,6 @@ def _simulate_exact(kernel_name: str, strategy: str, n: int,
     simulated, and every point the proof does not cover (tiled, a
     non-direct-mapped level, mixed plane strides, classified) is
     simulated in full; the statistics are identical either way.
-    ``chunk_size`` bounds the addresses materialized per trace chunk
-    (``None`` = the generator's default bound, ``0`` = unbounded); the
-    statistics are bit-for-bit identical for every value.
 
     While a metrics registry is live (``--metrics``) the levels carry
     shadow miss classifiers, and classification takes precedence: the
@@ -234,7 +226,7 @@ def _simulate_exact(kernel_name: str, strategy: str, n: int,
                      n=n) as sp:
         stats, xrep = simulate_extrapolated(
             kern, sel, schedule, hier, inter_pad=inter_pad,
-            chunk_size=chunk_size, on_chunk=on_chunk)
+            on_chunk=on_chunk)
         sp["extrapolated"] = xrep.fired
         events.emit("extrapolate", kernel=kernel_name, strategy=strategy,
                     n=n, fired=xrep.fired, period=xrep.period,
@@ -272,21 +264,6 @@ def _simulate_exact(kernel_name: str, strategy: str, n: int,
         di_p=sel.di_p, dj_p=sel.dj_p,
         extrapolated=xrep.fired,
     )
-
-
-def _cache_size() -> int | None:
-    """Memo bound from ``REPRO_POINT_CACHE`` (<= 0 means unbounded)."""
-    try:
-        size = int(os.environ.get("REPRO_POINT_CACHE", "4096"))
-    except ValueError:
-        size = 4096
-    return size if size > 0 else None
-
-
-@lru_cache(maxsize=_cache_size())
-def _run_point_cached(kernel_name: str, strategy: str, n: int,
-                      cfg: ExperimentConfig) -> PointResult:
-    return _simulate_exact(kernel_name, strategy, n, cfg)
 
 
 # ----------------------------------------------------------------------
@@ -379,16 +356,15 @@ def config_fingerprint(cfg: ExperimentConfig) -> str:
     })
 
 
-def open_journal(path, cfg: ExperimentConfig | None = None, *,
-                 force: bool = False) -> CheckpointJournal:
+def open_journal(path, cfg: ExperimentConfig | None = None
+                 ) -> CheckpointJournal:
     """Open/create a checkpoint journal bound to ``cfg``'s fingerprint.
 
     Raises :class:`~repro.errors.CheckpointError` when ``path`` holds a
-    journal written under a different configuration; ``force`` (the
-    CLI's ``--resume-force``) adopts such a journal with a warning.
+    journal written under a different configuration.
     """
     return CheckpointJournal.open(
-        path, config_fingerprint(cfg or ExperimentConfig()), force=force)
+        path, config_fingerprint(cfg or ExperimentConfig()))
 
 
 def open_store(point_cache) -> PointStore | None:
@@ -398,11 +374,11 @@ def open_store(point_cache) -> PointStore | None:
     return PointStore(point_cache)
 
 
-def _resolve_journal(checkpoint, cfg: ExperimentConfig, *,
-                     force: bool) -> CheckpointJournal | None:
+def _resolve_journal(checkpoint,
+                     cfg: ExperimentConfig) -> CheckpointJournal | None:
     if checkpoint is None or isinstance(checkpoint, CheckpointJournal):
         return checkpoint
-    return open_journal(checkpoint, cfg, force=force)
+    return open_journal(checkpoint, cfg)
 
 
 # ----------------------------------------------------------------------
@@ -519,23 +495,21 @@ def _store_lookup(store: PointStore, fingerprint_: str,
 
 def _compute_point(kernel: str, strategy: str, n: int,
                    cfg: ExperimentConfig,
-                   budget: PointBudget | None,
-                   chunk_size: int | None = None) -> PointResult:
+                   budget: PointBudget | None) -> PointResult:
     """Exact simulation under ``budget``, degrading to the model.
 
-    A non-plain point's computation, in the calling process
+    Every exact point's computation, in the calling process
     (:func:`run_point`) or in a pool worker (:func:`_pool_point_task`):
     retryable failures retry with backoff; budget exhaustion (or
     exhausted retries) degrades to the analytic miss model with
-    ``degraded=True``.
+    ``degraded=True``. ``None`` means the default budget.
     """
     budget = budget or PointBudget()
     clock = faults.active_clock()
     try:
         return run_with_retries(
             lambda: _simulate_exact(kernel, strategy, n, cfg,
-                                    budget=budget, chunk_size=chunk_size,
-                                    clock=clock),
+                                    budget=budget, clock=clock),
             budget, sleep=faults.active_sleep())
     except (BudgetExceededError, RetryableError) as exc:
         log.warning("point %s/%s/N=%d degraded to the analytic model "
@@ -553,12 +527,11 @@ def run_point(kernel: str, strategy: str, n: int,
     """Simulate one configuration under ``policy``.
 
     A policy with a journal and/or store is a one-point sweep through
-    :func:`_run_points`: the point is served from the first cache layer
-    that has it (journal, then store), otherwise computed here and
-    recorded back. Every other policy computes the point in this
-    process as one ``point`` span: the default policy on the memoized
-    exact fast path, ``analytic=True`` from the miss model, and a
-    budget or chunk bound by exact simulation around the memo. See
+    :func:`_run_points`: the point is served from the first cache that
+    has it (journal, then store), otherwise computed here and recorded
+    back. Every other policy computes the point in this process as one
+    ``point`` span: ``analytic=True`` from the miss model, otherwise
+    by exact simulation under the policy's budget. See
     :class:`~repro.experiments.options.PointPolicy`.
     """
     cfg = cfg or ExperimentConfig()
@@ -568,14 +541,11 @@ def run_point(kernel: str, strategy: str, n: int,
         key = (kernel, strategy, n)
         return _run_points([key], cfg, policy)[key]
     with events.span("point", kernel=kernel, strategy=strategy, n=n) as sp:
-        if policy.plain:
-            result = _run_point_cached(kernel, strategy, n, cfg)
-        elif policy.analytic:
+        if policy.analytic:
             result = _analytic_point(kernel, strategy, n, cfg)
             sp["source"] = "analytic"
         else:
-            result = _compute_point(kernel, strategy, n, cfg, policy.budget,
-                                    policy.chunk_size)
+            result = _compute_point(kernel, strategy, n, cfg, policy.budget)
         sp["degraded"] = result.degraded
         metrics.inc("repro.runner.points",
                     mode="analytic" if result.degraded else "exact")
@@ -608,12 +578,10 @@ def _run_points(keys: list[tuple], cfg: ExperimentConfig,
        a crashed, hung or ``point_timeout``-exceeding worker is
        SIGKILLed and retried, and finally quarantined to the analytic
        model. Otherwise each is one :func:`run_point` in this process,
-       in submission order (never served by the memo when a journal or
-       store is in use); an exception propagates once every earlier
+       in submission order; an exception propagates once every earlier
        point is recorded.
     3. **Record** each result once: journal, then store (never a
-       degraded point; a journal hit only when the store lacks it and
-       the journal was not adopted from another configuration, so a
+       degraded point; a journal hit only when the store lacks it, so a
        point journaled just before a kill but never stored reaches the
        store on resume), then a status tick. A point from the journal,
        the store or the pool also gets its ``repro.runner.points``
@@ -635,9 +603,7 @@ def _run_points(keys: list[tuple], cfg: ExperimentConfig,
         if journal is not None and source != "journal":
             journal.record(key, payload)
         if (store is not None and source != "store" and not result.degraded
-                and not (source == "journal"
-                         and (journal.adopted_from is not None
-                              or store.has(fp, key)))):
+                and not (source == "journal" and store.has(fp, key))):
             store.put(fp, key, payload)
         if source is not None:
             metrics.inc("repro.runner.points", mode=(
@@ -669,9 +635,9 @@ def _run_points(keys: list[tuple], cfg: ExperimentConfig,
         log.info("parallel sweep %s: %d points across %d workers "
                  "(timeout %s)", misses[0][0], len(misses), workers,
                  f"{point_timeout}s" if point_timeout else "none")
-        args = (cfg, policy.budget, policy.chunk_size)
         outcomes = run_supervised(
-            _pool_point_task, [(key, (*key, *args)) for key in misses],
+            _pool_point_task,
+            [(key, (*key, cfg, policy.budget)) for key in misses],
             PoolPolicy(workers=workers, point_timeout=point_timeout,
                        max_retries=retry.max_retries,
                        backoff_seconds=retry.backoff_seconds),
@@ -684,12 +650,7 @@ def _run_points(keys: list[tuple], cfg: ExperimentConfig,
             drain=drain, observer=status)
         skipped = sum(1 for o in outcomes if o.skipped)
     else:
-        # A durable point is simulated, never served by the memo: an
-        # explicit (default) budget routes run_point around it.
-        durable = journal is not None or store is not None
-        local = replace(policy, journal=None, store=None,
-                        budget=policy.budget or (PointBudget() if durable
-                                                 else None))
+        local = replace(policy, journal=None, store=None)
         for i, key in enumerate(misses):
             if drain is not None and drain.requested:
                 skipped = len(misses) - i
@@ -713,8 +674,8 @@ def sweep(kernel: str, strategies: list[str], sizes: list[int],
     All execution choices travel in one frozen
     :class:`~repro.experiments.options.SweepOptions`:
 
-    * ``checkpoint``/``resume_force`` — completed points are journaled
-      and skipped on resume;
+    * ``checkpoint`` — completed points are journaled and skipped on
+      resume;
     * ``budget``/``point_timeout`` — over-budget points degrade to the
       analytic model;
     * ``point_cache`` — points are served from / recorded to the
@@ -722,20 +683,17 @@ def sweep(kernel: str, strategies: list[str], sizes: list[int],
     * ``parallel`` — points fan out to supervised worker processes
       (:mod:`repro.resilience.pool`): a crashed, hung, or timed-out
       worker is SIGKILLed, retried, and finally quarantined to the
-      analytic model;
-    * ``chunk_size`` — trace memory bound (results are bit-for-bit
-      independent of it).
+      analytic model.
 
     The points go through one scheduler (:func:`_run_points`), which
     looks them up, records them and drains, with two executors for the
     misses: the supervised pool when ``parallel > 1`` and the platform
     has one, otherwise one :func:`run_point` per point in this process,
-    where ``point_timeout`` becomes a per-point wall budget. With
-    default options that is the memoized fast path. Durable sweeps (a
-    journal and/or store) never read the memo, and drain gracefully on
-    SIGINT/SIGTERM: in-flight points finish and journal, then the sweep
-    raises :class:`~repro.errors.SweepInterrupted` — resumable, exit
-    code 130 at the CLI. Other sweeps keep ordinary Ctrl-C behaviour.
+    where ``point_timeout`` becomes a per-point wall budget. Durable
+    sweeps (a journal and/or store) drain gracefully on SIGINT/SIGTERM:
+    in-flight points finish and journal, then the sweep raises
+    :class:`~repro.errors.SweepInterrupted` — resumable, exit code 130
+    at the CLI. Other sweeps keep ordinary Ctrl-C behaviour.
     """
     from repro.obs import context as obs_context
     from repro.obs.status import StatusPublisher
@@ -757,8 +715,7 @@ def sweep(kernel: str, strategies: list[str], sizes: list[int],
                 log.warning("multiprocessing unavailable on this platform; "
                             "running the sweep serially")
                 workers = 1
-        journal = _resolve_journal(options.checkpoint, cfg,
-                                   force=options.resume_force)
+        journal = _resolve_journal(options.checkpoint, cfg)
         store = open_store(options.point_cache)
         policy = options.point_policy(journal, store)
         if workers > 1:
@@ -777,46 +734,3 @@ def sweep(kernel: str, strategies: list[str], sizes: list[int],
             status.finish()
         return {s: [results[(kernel, s, n)] for n in sizes]
                 for s in strategies}
-
-
-# ----------------------------------------------------------------------
-# cache administration
-# ----------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class RunnerCacheInfo:
-    """Combined view of the in-process memo and the persistent store.
-
-    The first four fields mirror ``functools.lru_cache.cache_info()``
-    so existing consumers (``repro.obs``, tests) keep working; ``store``
-    is present only when a persistent store was passed to
-    :func:`cache_info`.
-    """
-
-    hits: int
-    misses: int
-    maxsize: int | None
-    currsize: int
-    store: StoreInfo | None = None
-
-
-def clear_cache(store=None) -> int:
-    """Drop memoized results; with ``store``, empty the persistent one.
-
-    Returns the number of persistent entries removed (0 without a
-    store). After a clear, nothing is served stale: the next
-    :func:`run_point` re-simulates and re-populates both layers.
-    """
-    _run_point_cached.cache_clear()
-    resolved = open_store(store)
-    return resolved.clear() if resolved is not None else 0
-
-
-def cache_info(store=None) -> RunnerCacheInfo:
-    """Memo statistics, plus the persistent store's when one is given."""
-    memo = _run_point_cached.cache_info()
-    resolved = open_store(store)
-    return RunnerCacheInfo(
-        hits=memo.hits, misses=memo.misses, maxsize=memo.maxsize,
-        currsize=memo.currsize,
-        store=resolved.info() if resolved is not None else None)

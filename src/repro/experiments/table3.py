@@ -82,7 +82,7 @@ def table3(kernels: tuple[str, ...] = ("JACOBI", "REDBLACK", "RESID"),
     (points are keyed by kernel/strategy/size), so a resumed or warm
     ``table3`` re-simulates only what no previous run had finished.
     See :class:`~repro.experiments.options.SweepOptions` for the full
-    menu (budgets, parallel workers, point cache, chunk size).
+    menu (budgets, parallel workers, point cache).
     """
     options = options or SweepOptions()
     cfg = cfg or ExperimentConfig()
@@ -91,8 +91,7 @@ def table3(kernels: tuple[str, ...] = ("JACOBI", "REDBLACK", "RESID"),
     # the same open resources (and the fingerprint check runs once).
     options = replace(
         options,
-        checkpoint=_resolve_journal(options.checkpoint, cfg,
-                                    force=options.resume_force),
+        checkpoint=_resolve_journal(options.checkpoint, cfg),
         point_cache=open_store(options.point_cache))
     points: dict[str, dict[str, list[PointResult]]] = {}
     summaries = []

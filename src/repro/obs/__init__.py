@@ -8,7 +8,7 @@ Three cooperating pieces, all disabled (near-zero-cost) by default:
   resumes, degradations) land in the same timeline.
 * :mod:`~repro.obs.metrics` — a process-local registry of counters /
   gauges / histograms: per-level cold/conflict/capacity miss
-  breakdowns, trace volume, Euc3D/Pad search effort, memo hit rates.
+  breakdowns, trace volume, Euc3D/Pad search effort, point sources.
   Metric names are a stable interface (see the module docstring).
 * :mod:`~repro.obs.profile` — opt-in per-phase wall-clock and
   ``tracemalloc`` peak-memory capture attached to span-end events.
@@ -87,15 +87,6 @@ class Session:
 
 def _finalize_metrics(reg: MetricsRegistry) -> None:
     """Derived metrics recorded once, at session close."""
-    try:
-        from repro.experiments.runner import cache_info
-
-        ci = cache_info()
-        reg.gauge("repro.runner.memo.hits").set(ci.hits)
-        reg.gauge("repro.runner.memo.misses").set(ci.misses)
-        reg.gauge("repro.runner.memo.currsize").set(ci.currsize)
-    except Exception:  # pragma: no cover - runner not imported/available
-        pass
     addrs = reg.counter_total("repro.trace.addresses")
     secs = reg.histogram("repro.sim.point_seconds").total
     if secs > 0:

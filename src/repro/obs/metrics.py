@@ -28,9 +28,6 @@ name                                   type        labels
 ``repro.select.pad.searched``          counter     —
 ``repro.runner.points``                counter     ``mode`` in exact|
                                                    analytic|journal|store
-``repro.runner.memo.hits``             gauge       —
-``repro.runner.memo.misses``           gauge       —
-``repro.runner.memo.currsize``         gauge       —
 ``repro.resilience.retries``           counter     —
 ``repro.resilience.degraded``          counter     —
 ``repro.resilience.checkpoint.*``      counter     resumed_points, records,

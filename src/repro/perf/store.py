@@ -3,8 +3,8 @@
 A :class:`PointStore` caches completed simulation points on disk so
 repeated ``table3``/``figures`` invocations — serial or parallel,
 within one process or across many — never re-simulate a point that any
-previous run already finished. It is the cross-process, cross-run
-counterpart of the runner's in-memory memo.
+previous run already finished. Besides a sweep's checkpoint journal,
+it is the only cache of points.
 
 Addressing is by content, never by trust: an entry lives at
 

@@ -38,7 +38,7 @@ log = logging.getLogger(__name__)
 class PointBudget:
     """Resource bounds for simulating one (kernel, strategy, N) point.
 
-    Frozen (hashable) so budgeted results can be memoized. ``None``
+    Frozen (hashable), like the policies that carry it. ``None``
     disables the corresponding bound; the default budget is unbounded
     with two retries. ``max_refs`` counts references *simulated*, not
     the point's trace length: planes the steady-state extrapolation

@@ -28,11 +28,11 @@ Durability contract:
   mismatch — a missing/invalid header, or a fingerprint mismatch raise
   :class:`repro.errors.CheckpointError`: silently mixing or dropping
   results would corrupt the science. ``repro fsck --repair`` inspects
-  and quarantines damage explicitly; ``force=True`` (the CLI's
-  ``--resume-force``) overrides a fingerprint mismatch only. The header
-  of an adopted journal keeps the fingerprint it held before as
-  ``adopted_from``, through every later rewrite, so its records are
-  never mistaken for ones computed under the new configuration.
+  and quarantines damage explicitly. Nothing overrides a fingerprint
+  mismatch. A header that carries ``adopted_from`` (a journal an older
+  build adopted across configurations, keeping the fingerprint it held
+  before) is refused too, since its records were computed under
+  another configuration; ``repro fsck --repair`` keeps that mark.
 
 Schema versioning: the header carries ``version`` and every point
 record a ``v`` (both currently 3). Version 1 (PR 1) lacked per-record
@@ -85,8 +85,7 @@ log = logging.getLogger(__name__)
 
 
 class CheckpointWarning(UserWarning):
-    """A journal needed (successful) recovery — e.g. a truncated tail —
-    or a fingerprint mismatch was explicitly overridden."""
+    """A journal needed (successful) recovery — e.g. a truncated tail."""
 
 
 def fingerprint(payload: Mapping[str, Any]) -> str:
@@ -174,6 +173,12 @@ def _records_from_lines(path: pathlib.Path,
         raise CheckpointError(
             f"checkpoint {path} has no header line; not a journal "
             f"(or written by an incompatible version)")
+    if header.get("adopted_from") is not None:
+        raise CheckpointError(
+            f"checkpoint {path} was adopted from configuration "
+            f"{header['adopted_from']!r}, so its points were computed "
+            f"under another configuration; refusing to serve them — "
+            f"delete the file to start a fresh sweep")
     version = header.get("version")
     if not isinstance(version, int) or version < 1:
         raise CheckpointError(
@@ -215,7 +220,6 @@ class CheckpointJournal:
                  records: dict[tuple, dict]):
         self._path = path
         self._fingerprint = fp
-        self._adopted_from: str | None = None
         self._records = records
         self._lock = FileLock(path.with_name(path.name + ".lock"))
         #: (st_mtime_ns, st_size) of the file as this process last wrote
@@ -225,24 +229,23 @@ class CheckpointJournal:
 
     # ------------------------------------------------------------------
     @classmethod
-    def open(cls, path: str | pathlib.Path, fp: str, *,
-             force: bool = False) -> "CheckpointJournal":
+    def open(cls, path: str | pathlib.Path, fp: str) -> "CheckpointJournal":
         """Open (resuming) or create a journal bound to fingerprint ``fp``.
 
         Raises :class:`CheckpointError` if an existing journal was
-        written under a different fingerprint (unless ``force`` adopts
-        it), comes from a newer format version, or is unrecoverably
-        corrupt. Runs under the journal's file lock, so concurrent
-        opens/writers never interleave; orphaned temp files from killed
-        writers are removed.
+        written under a different fingerprint, carries an
+        ``adopted_from`` mark, comes from a newer format version, or is
+        unrecoverably corrupt. Runs under the journal's file lock, so
+        concurrent opens/writers never interleave; orphaned temp files
+        from killed writers are removed.
         """
         path = pathlib.Path(path)
         journal = cls(path, fp, {})
         with journal._lock:
-            journal._open_locked(force=force)
+            journal._open_locked()
         return journal
 
-    def _open_locked(self, *, force: bool) -> None:
+    def _open_locked(self) -> None:
         from repro.obs import events, metrics
 
         path = self._path
@@ -264,28 +267,14 @@ class CheckpointJournal:
             self._flush()
             return
         header, records, migrate = _records_from_lines(path, lines)
-        self._adopted_from = header.get("adopted_from")
         theirs = header.get("fingerprint")
         if theirs != self._fingerprint:
-            if not force:
-                raise CheckpointError(
-                    f"checkpoint {path} was written under a different "
-                    f"configuration: journal fingerprint {theirs!r} vs "
-                    f"this run's {self._fingerprint!r}; refusing to mix "
-                    f"results — delete the file, match the original "
-                    f"configuration, or pass --resume-force to adopt the "
-                    f"journal anyway")
-            warnings.warn(
-                f"checkpoint {path}: fingerprint mismatch overridden "
-                f"(journal {theirs!r}, this run {self._fingerprint!r}); "
-                f"adopting {len(records)} recorded point(s) under the new "
-                f"fingerprint", CheckpointWarning, stacklevel=3)
-            events.emit("checkpoint_forced", path=str(path),
-                        journal_fingerprint=theirs,
-                        run_fingerprint=self._fingerprint,
-                        points=len(records))
-            self._adopted_from = self._adopted_from or theirs
-            migrate = True
+            raise CheckpointError(
+                f"checkpoint {path} was written under a different "
+                f"configuration: journal fingerprint {theirs!r} vs "
+                f"this run's {self._fingerprint!r}; refusing to mix "
+                f"results — delete the file or match the original "
+                f"configuration")
         self._records = records
         if migrate:
             log.info("checkpoint %s: rewriting at journal format v%d",
@@ -309,12 +298,6 @@ class CheckpointJournal:
     @property
     def fingerprint(self) -> str:
         return self._fingerprint
-
-    @property
-    def adopted_from(self) -> str | None:
-        """Fingerprint this journal held before ``force`` first adopted
-        it under another configuration; ``None`` if it never was."""
-        return self._adopted_from
 
     def __len__(self) -> int:
         return len(self._records)
@@ -364,8 +347,7 @@ class CheckpointJournal:
         Our in-memory record wins on a key both sides have — payloads
         for a given key are deterministic, so the difference can only
         be formatting. A concurrent writer under a *different*
-        fingerprint is a configuration error, not mergeable data; an
-        ``adopted_from`` mark it wrote is kept.
+        fingerprint is a configuration error, not mergeable data.
         """
         try:
             st = os.stat(self._path)
@@ -383,7 +365,6 @@ class CheckpointJournal:
                 f"fingerprint ({header.get('fingerprint')!r}) while this "
                 f"run (fingerprint {self._fingerprint!r}) held it open; "
                 f"refusing to mix results")
-        self._adopted_from = self._adopted_from or header.get("adopted_from")
         merged = 0
         for key, payload in theirs.items():
             if key not in self._records:
@@ -401,8 +382,6 @@ class CheckpointJournal:
     def _flush(self) -> None:
         header = {"kind": "header", "version": _FORMAT_VERSION,
                   "fingerprint": self._fingerprint}
-        if self._adopted_from is not None:
-            header["adopted_from"] = self._adopted_from
         lines = [json.dumps(attach_crc(header))]
         for key, payload in self._records.items():
             lines.append(json.dumps(attach_crc(

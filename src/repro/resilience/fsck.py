@@ -211,6 +211,7 @@ def _repair_journal(path: pathlib.Path, header: dict, good: list[dict],
         head = {"kind": "header", "version": _ckpt._FORMAT_VERSION,
                 "fingerprint": header.get("fingerprint")}
         if header.get("adopted_from") is not None:
+            # Keep the adoption mark: the journal stays refused on open.
             head["adopted_from"] = header["adopted_from"]
         lines = [json.dumps(attach_crc(head))]
         for rec in good:

@@ -60,10 +60,7 @@ class TestParser:
         assert a.parallel == 4 and a.point_timeout == 30.0
         a = build_parser().parse_args(["figures"])
         assert a.parallel == 1 and a.point_timeout is None
-        assert not a.resume_force
-        a = build_parser().parse_args(
-            ["table3", "--checkpoint", "t.jsonl", "--resume-force"])
-        assert a.resume_force
+        assert not hasattr(a, "resume_force")
 
     @pytest.mark.parametrize("command", ["simulate", "table3", "figures",
                                          "lattice"])
@@ -76,6 +73,23 @@ class TestParser:
             argv += ["--n", "64"]
         with pytest.raises(SystemExit):
             build_parser().parse_args(argv)
+
+    @pytest.mark.parametrize("argv", [
+        ["table3", "--n", "8", "--chunk-size", "1"],
+        ["table3", "--n", "8", "--checkpoint", "j.jsonl", "--resume-force"],
+        ["simulate", "--n", "8", "--chunk-size", "0"],
+        ["lattice", "--n", "8", "--chunk-size", "1"],
+    ])
+    def test_deleted_execution_flags_are_gone(self, argv, tmp_path,
+                                              monkeypatch, capsys):
+        # The trace chunk bound is the generator's, and a journal from
+        # another configuration is never adopted.
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+        assert not (tmp_path / "j.jsonl").exists()
 
     def test_bench_command_is_gone(self, tmp_path, capsys):
         # perfbench/ is the one benchmark harness.
@@ -145,10 +159,6 @@ class TestValidation:
     def test_nonpositive_point_timeout(self, capsys):
         self.check(capsys, ["table3", "--point-timeout", "0"],
                    "--point-timeout must be positive")
-
-    def test_resume_force_without_checkpoint(self, capsys):
-        self.check(capsys, ["table3", "--resume-force"],
-                   "--resume-force requires --checkpoint")
 
 
 class TestCommands:

@@ -11,7 +11,6 @@ from repro.errors import ExperimentError
 from repro.experiments import run_point, sweep
 from repro.experiments.config import ExperimentConfig, default_sizes
 from repro.experiments.report import format_series, format_table
-from repro.experiments.runner import clear_cache
 from repro.experiments.table1 import PAPER_ROWS, format_table1, table1
 from repro.experiments.table3 import format_table3, summarize, table3
 from repro.experiments.transforms_table import (
@@ -39,25 +38,17 @@ class TestRunner:
         assert r.tile is None and not r.padded
 
     def test_memoization(self, tiny_config):
-        a = run_point("JACOBI", "Orig", 40, tiny_config)
-        b = run_point("JACOBI", "Orig", 40, tiny_config)
-        assert a is b
-        clear_cache()
-        c = run_point("JACOBI", "Orig", 40, tiny_config)
-        assert c == a and c is not a
+        # Nothing is memoized in process: a repeated point is simulated
+        # again, so every point counted exact also adds its misses.
+        from repro.obs import metrics
 
-    def test_memoization_is_bounded(self, tiny_config):
-        from repro.experiments.runner import cache_info
-
-        clear_cache()
-        run_point("JACOBI", "Orig", 40, tiny_config)
-        info = cache_info()
-        # Bounded (default REPRO_POINT_CACHE=4096), so week-long sweeps
-        # cannot grow RSS without bound; and the memo is actually used.
-        assert info.maxsize is not None and info.maxsize > 0
-        assert info.currsize >= 1
-        run_point("JACOBI", "Orig", 40, tiny_config)
-        assert cache_info().hits > info.hits
+        with metrics.collect() as reg:
+            a = run_point("JACOBI", "Orig", 40, tiny_config)
+            once = reg.counter_total("repro.sim.misses")
+            b = run_point("JACOBI", "Orig", 40, tiny_config)
+            assert reg.counter_total("repro.runner.points") == 2
+            assert reg.counter_total("repro.sim.misses") == 2 * once > 0
+        assert b == a and b is not a
 
     def test_unknown_kernel(self, tiny_config):
         with pytest.raises(ExperimentError):

@@ -166,8 +166,10 @@ class TestOptions:
                 SweepOptions(point_timeout=30.0)):
             assert pol.budget == PointBudget(wall_seconds=30.0)
 
-    def test_default_options_keep_the_memoized_path(self, monkeypatch,
-                                                    tiny_config_module):
+    def test_default_options_give_the_default_policy(self, monkeypatch,
+                                                     tiny_config_module):
+        from repro.experiments.options import PointPolicy
+
         for pol in self._captured_policies(monkeypatch,
                                            tiny_config_module, None):
-            assert pol.plain
+            assert pol == PointPolicy()

@@ -1,11 +1,11 @@
 """Tests of the unified sweep/point option API.
 
 Covers the :class:`SweepOptions` / :class:`PointPolicy` contracts
-(frozen, validated at construction, correct ``plain`` fast-path
-detection), that options thread through to sweeps, and — now that the
-PR-4 deprecation cycle has completed — that the legacy entry points and
-keyword forms are genuinely *gone*: the shims must not quietly come
-back, and a stale call site must fail loudly, not silently diverge.
+(frozen, validated at construction, the exact field sets), that options
+thread through to sweeps, and that the legacy entry points, keyword
+forms and deleted execution options are genuinely *gone*: the shims
+must not quietly come back, and a stale call site must fail loudly,
+not silently diverge.
 """
 
 import dataclasses
@@ -33,17 +33,18 @@ class TestSweepOptions:
     @pytest.mark.parametrize("bad", [
         dict(parallel=0), dict(parallel=-3),
         dict(point_timeout=0), dict(point_timeout=-1.0),
-        dict(chunk_size=-1),
     ])
     def test_bad_values_fail_at_construction(self, bad):
         with pytest.raises(ConfigurationError):
             SweepOptions(**bad)
 
     def test_point_policy_projection(self):
-        opts = SweepOptions(budget=PointBudget(max_refs=10), chunk_size=64)
+        opts = SweepOptions(budget=PointBudget(max_refs=10),
+                            checkpoint="c.jsonl", point_cache="dir",
+                            parallel=2)
         pol = opts.point_policy(journal="J", store="S")
         assert pol == PointPolicy(budget=opts.budget, journal="J",
-                                  store="S", chunk_size=64)
+                                  store="S")
         # Serially, point_timeout becomes a wall budget — unless an
         # explicit budget already bounds the point.
         pol = SweepOptions(point_timeout=2.5).point_policy()
@@ -51,7 +52,7 @@ class TestSweepOptions:
         pol = SweepOptions(budget=PointBudget(max_refs=10),
                            point_timeout=2.5).point_policy()
         assert pol.budget == PointBudget(max_refs=10)
-        assert SweepOptions().point_policy().plain
+        assert SweepOptions().point_policy() == PointPolicy()
 
 
 class TestPointPolicy:
@@ -59,21 +60,9 @@ class TestPointPolicy:
         with pytest.raises(dataclasses.FrozenInstanceError):
             PointPolicy().analytic = True
 
-    def test_plain_detection(self):
-        assert PointPolicy().plain
-        assert not PointPolicy(analytic=True).plain
-        assert not PointPolicy(budget=PointBudget()).plain
-        assert not PointPolicy(chunk_size=0).plain
-
     def test_analytic_excludes_simulation_knobs(self):
         with pytest.raises(ConfigurationError, match="analytic"):
             PointPolicy(analytic=True, budget=PointBudget())
-        with pytest.raises(ConfigurationError, match="analytic"):
-            PointPolicy(analytic=True, chunk_size=64)
-
-    def test_bad_chunk_size(self):
-        with pytest.raises(ConfigurationError, match="chunk_size"):
-            PointPolicy(chunk_size=-5)
 
 
 class TestLegacyAPIRemoved:
@@ -102,6 +91,24 @@ class TestLegacyAPIRemoved:
             SweepOptions(extrapolate=True)
         with pytest.raises(TypeError):
             PointPolicy(trace_form="flat")
+
+    def test_execution_option_knobs_are_gone(self):
+        # No in-process memo, no per-call chunk bound, no journal
+        # adoption: each option set nothing a statistic depends on.
+        sweep_fields = {f.name for f in dataclasses.fields(SweepOptions)}
+        policy_fields = {f.name for f in dataclasses.fields(PointPolicy)}
+        assert sweep_fields == {"checkpoint", "budget", "parallel",
+                                "point_timeout", "point_cache"}
+        assert policy_fields == {"analytic", "budget", "journal", "store"}
+        assert not hasattr(PointPolicy, "plain")
+        for name in ("chunk_size", "resume_force"):
+            with pytest.raises(TypeError):
+                SweepOptions(**{name: 1})
+            with pytest.raises(TypeError):
+                PointPolicy(**{name: 1})
+        for name in ("_run_point_cached", "RunnerCacheInfo", "cache_info",
+                     "clear_cache"):
+            assert not hasattr(runner_mod, name)
 
     def test_merge_helper_is_gone(self):
         assert not hasattr(options_mod, "merge_deprecated_kwargs")
@@ -141,12 +148,6 @@ class TestLegacyAPIRemoved:
 
 
 class TestOptionsThreadThrough:
-    def test_sweep_options_chunk_size_changes_nothing(self, tiny_config):
-        base = sweep("JACOBI", ["Orig"], [40], tiny_config)
-        alt = sweep("JACOBI", ["Orig"], [40], tiny_config,
-                    options=SweepOptions(chunk_size=128))
-        assert alt == base
-
     def test_table3_shares_store_across_kernels(self, tmp_path,
                                                 tiny_config):
         from repro.resilience import faults

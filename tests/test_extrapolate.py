@@ -24,12 +24,7 @@ from repro.experiments.extrapolate import (
     simulate_extrapolated,
 )
 from repro.experiments.options import PointPolicy, SweepOptions
-from repro.experiments.runner import (
-    _schedule_for,
-    clear_cache,
-    run_point,
-    sweep,
-)
+from repro.experiments.runner import _schedule_for, run_point, sweep
 from repro.kernels import KERNELS
 from repro.obs import metrics
 from repro.perfmodel.machine import ULTRASPARC2_360
@@ -172,7 +167,6 @@ def test_shifted_tags_roundtrip():
 def test_run_point_records_extrapolated_flag():
     # A default run_point extrapolates an eligible (untiled) point and
     # simulates a tiled one in full; both match the flat full trace.
-    clear_cache()
     fired = run_point("JACOBI", "Orig", 64, CFG)
     assert fired.extrapolated
     tiled = run_point("JACOBI", "GcdPad", 64, CFG)
@@ -184,8 +178,8 @@ def test_run_point_records_extrapolated_flag():
 
 
 def test_run_point_extrapolate_fallback_not_flagged():
-    # Ineligible by construction: the tiled schedule. A budget routes
-    # the point around the memo, so it is simulated here.
+    # Ineligible by construction: the tiled schedule, here under an
+    # explicit budget.
     r = run_point("JACOBI", "GcdPad", 64, CFG,
                   policy=PointPolicy(budget=PointBudget()))
     assert not r.extrapolated
@@ -215,7 +209,6 @@ def test_metrics_classify_instead_of_extrapolating():
     """Under ``--metrics`` classification takes precedence: an eligible
     point is simulated in full (reason ``classifiers``) and its 3C
     counts sum to its misses."""
-    clear_cache()  # a memo hit would simulate (and classify) nothing
     with metrics.collect() as reg:
         p = run_point("JACOBI", "Orig", 64, CFG)
     assert not p.extrapolated
@@ -226,7 +219,6 @@ def test_metrics_classify_instead_of_extrapolating():
     assert reg.counter_total("repro.sim.misses") > 0
     assert reg.counter_total("repro.sim.miss_class") == \
         reg.counter_total("repro.sim.misses")
-    clear_cache()
     plain = run_point("JACOBI", "Orig", 64, CFG)
     assert plain.extrapolated
     assert (p.l1_misses, p.l2_misses) == (plain.l1_misses, plain.l2_misses)

@@ -5,12 +5,13 @@ import json
 import pytest
 
 from repro.cli import main
-from repro.errors import FsckError
+from repro.errors import CheckpointError, FsckError
 from repro.perf.store import PointStore
 from repro.resilience import CheckpointJournal
 from repro.resilience.fsck import fsck_journal, fsck_path, fsck_store
 from repro.resilience.integrity import QUARANTINE_DIR, attach_crc
 
+from tests.helpers import mark_adopted
 
 FP = "fsck-test-fp"
 
@@ -84,13 +85,20 @@ class TestFsckJournal:
         assert j.get(("K", 1)) is None  # the damaged record was dropped
 
     def test_repair_keeps_the_adoption_mark(self, tmp_path):
+        # An adopted journal is refused on open, and a repair rewrite
+        # must not launder it into one that opens.
         path = tmp_path / "j.jsonl"
         make_journal(path)
-        with pytest.warns(UserWarning, match="overridden"):
-            CheckpointJournal.open(path, "other-fp", force=True)
+        mark_adopted(path, "other-fp")
+        with pytest.raises(CheckpointError, match="adopted from"):
+            CheckpointJournal.open(path, "other-fp")
         flip_payload(path, 2)
-        assert fsck_journal(path, repair=True).repaired
-        assert CheckpointJournal.open(path, "other-fp").adopted_from == FP
+        assert main(["fsck", str(path), "--repair"]) == 1
+        assert json.loads(path.read_text().splitlines()[0])[
+            "adopted_from"] == FP
+        assert fsck_journal(path).ok
+        with pytest.raises(CheckpointError, match="adopted from"):
+            CheckpointJournal.open(path, "other-fp")
 
     def test_missing_header_is_fatal_and_unrepaired(self, tmp_path):
         path = tmp_path / "j.jsonl"

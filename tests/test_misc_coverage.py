@@ -75,13 +75,3 @@ class TestPerfPresetsImmutable:
 
         with pytest.raises(Exception):
             ULTRASPARC2_360.clock_hz = 1  # type: ignore[misc]
-
-
-class TestWindowsHelper:
-    def test_skewed_windows_cover_interior_only(self):
-        from repro.timeskew import SkewedSchedule
-
-        sched = SkewedSchedule(8, 10, 3, 4)
-        for _, t, jlo, jhi in sched.windows():
-            assert 2 <= jlo <= jhi <= 9
-            assert 0 <= t < 3

@@ -5,7 +5,6 @@ import json
 import pytest
 
 from repro.cli import main
-from repro.experiments import runner
 from repro.obs.report import (format_report, read_events, read_metrics,
                               summarize)
 
@@ -13,7 +12,6 @@ from repro.obs.report import (format_report, read_events, read_metrics,
 @pytest.fixture
 def artifacts(tmp_path):
     """One instrumented tiny table3 run; yields (events_path, metrics_path)."""
-    runner.clear_cache()  # force exact simulations regardless of test order
     ev = tmp_path / "run.jsonl"
     mx = tmp_path / "metrics.json"
     rc = main(["table3", "--n", "8",
@@ -110,7 +108,6 @@ class TestQuietRun:
         assert not list(tmp_path.iterdir())  # no stray artifact files
 
     def test_checkpoint_resume_event(self, tmp_path):
-        runner.clear_cache()
         ev1 = tmp_path / "r1.jsonl"
         ck = tmp_path / "ck.jsonl"
         assert main(["table3", "--n", "8", "--checkpoint", str(ck),
@@ -183,7 +180,6 @@ class TestEngineSupportLine:
 
 def test_events_are_json_serializable_all_the_way(tmp_path):
     """No repr-fallback records in a normal run (schema stays parseable)."""
-    runner.clear_cache()
     ev = tmp_path / "run.jsonl"
     assert main(["simulate", "--kernel", "RESID", "--strategy", "Pad",
                  "--n", "8", "--log-json", str(ev)]) == 0
@@ -210,7 +206,6 @@ class TestRunDir:
     @pytest.fixture
     def run(self, tmp_path):
         """One ledgered tiny table3 run; yields the run directory."""
-        runner.clear_cache()
         led = tmp_path / "ledger"
         csv = tmp_path / "points.csv"
         rc = main(["table3", "--n", "8", "--run-dir", str(led),
@@ -288,7 +283,6 @@ class TestRunDir:
 
 class TestProgressFlag:
     def test_progress_line_on_stderr(self, tmp_path, capsys):
-        runner.clear_cache()
         rc = main(["figures", "--kernel", "JACOBI", "--n", "8",
                    "--progress"])
         assert rc == 0

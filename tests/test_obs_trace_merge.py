@@ -13,7 +13,6 @@ import json
 import pytest
 
 from repro.cli import main
-from repro.experiments import runner
 from repro.obs.report import read_events, summarize
 from repro.resilience import faults
 from repro.resilience.pool import available
@@ -27,7 +26,6 @@ POINTS = 18  # table3 --n 8: 3 kernels x 6 strategies
 @pytest.fixture
 def merged_run(tmp_path, monkeypatch):
     """A parallel table3 run under injected kills; yields the run dir."""
-    runner.clear_cache()
     # kill:1:all quarantines one point; kill:3 forces a plain retry.
     monkeypatch.setenv(faults.WORKER_FAULT_ENV, "kill:1:all, kill:3")
     led = tmp_path / "ledger"
@@ -112,7 +110,6 @@ class TestMergedTrace:
 
 class TestSerialEquivalence:
     def test_serial_run_dir_has_no_worker_records(self, tmp_path):
-        runner.clear_cache()
         led = tmp_path / "ledger"
         assert main(["table3", "--n", "8", "--run-dir", str(led)]) == 0
         (run,) = led.iterdir()

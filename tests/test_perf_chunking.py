@@ -12,7 +12,6 @@ import pytest
 
 from repro.core.selector import select
 from repro.errors import TraceError
-from repro.experiments.options import PointPolicy
 from repro.experiments.runner import _schedule_for, run_point
 from repro.kernels import KERNELS
 from repro.obs import metrics
@@ -104,17 +103,22 @@ class TestTraceStreamEquality:
 
 
 class TestPointDifferential:
-    def test_simulated_point_independent_of_chunk_size(self, tiny_config):
-        mono = run_point("JACOBI", "GcdPad", 40, tiny_config,
-                         policy=PointPolicy(chunk_size=0))
-        for chunk_size in (256, 4096, 10**7):
-            chunked = run_point("JACOBI", "GcdPad", 40, tiny_config,
-                                policy=PointPolicy(chunk_size=chunk_size))
-            assert chunked == mono
-
-    def test_default_policy_matches_plain_run_point(self, tiny_config):
-        # The memoized plain path and an explicit default policy must
-        # agree: same stream, same numbers.
-        plain = run_point("RESID", "Orig", 40, tiny_config)
-        assert run_point("RESID", "Orig", 40, tiny_config,
-                         policy=PointPolicy(chunk_size=None)) == plain
+    def test_simulated_point_independent_of_chunk_size(self, tiny_config,
+                                                       monkeypatch):
+        # The bound is the generator's, read at call time (0 =
+        # unbounded). A tiled point is simulated in full and an untiled
+        # one extrapolates, so both trace paths are re-chunked.
+        bound = "repro.trace.generator.DEFAULT_CHUNK_ADDRESSES"
+        for strategy, n, extrapolated in (("GcdPad", 40, False),
+                                          ("Orig", 48, True)):
+            monkeypatch.setattr(bound, 0)
+            mono = run_point("JACOBI", strategy, n, tiny_config)
+            assert mono.extrapolated is extrapolated
+            for chunk_size in (256, 4096, 10**7):
+                monkeypatch.setattr(bound, chunk_size)
+                assert run_point("JACOBI", strategy, n,
+                                 tiny_config) == mono, chunk_size
+        # The patch reaches the generator: its chunks obey the new bound.
+        monkeypatch.setattr(bound, 256)
+        assert all(a.size <= 256 for a, _ in kernel_trace(
+            "JACOBI", "Orig", 24, tiny_config, chunk_size=None))

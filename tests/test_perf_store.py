@@ -15,13 +15,7 @@ import pytest
 from repro.errors import ConfigurationError
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.options import PointPolicy, SweepOptions
-from repro.experiments.runner import (
-    cache_info,
-    clear_cache,
-    config_fingerprint,
-    run_point,
-    sweep,
-)
+from repro.experiments.runner import config_fingerprint, run_point, sweep
 from repro.obs import metrics
 from repro.perf import PointStore, StoreInfo
 from repro.resilience import PointBudget, faults
@@ -32,13 +26,6 @@ KEY = ("JACOBI", "Orig", 40)
 def counter(reg, name):
     return sum(c["value"] for c in reg.snapshot()["counters"]
                if c["name"] == name)
-
-
-@pytest.fixture(autouse=True)
-def _fresh_memo():
-    clear_cache()
-    yield
-    clear_cache()
 
 
 class TestStoreBasics:
@@ -176,7 +163,6 @@ class TestRunnerIntegration:
     def test_warm_point_served_from_store(self, tmp_path, tiny_config):
         store = PointStore(tmp_path / "c")
         cold = run_point(*KEY, tiny_config, policy=PointPolicy(store=store))
-        clear_cache()
         inj = faults.FaultInjector()
         with faults.inject(inj), metrics.collect() as reg:
             warm = run_point(*KEY, tiny_config,
@@ -254,27 +240,26 @@ class TestRunnerIntegration:
 
 
 class TestCacheAdmin:
-    def test_cache_info_keeps_lru_shape(self, tiny_config):
-        run_point(*KEY, tiny_config)
-        run_point(*KEY, tiny_config)
-        info = cache_info()
-        assert info.hits >= 1 and info.currsize >= 1
-        assert info.maxsize is not None
-        assert info.store is None
+    """``repro cache info|clear`` read and empty the store directly."""
 
-    def test_cache_info_with_store(self, tmp_path, tiny_config):
+    def test_cache_info_with_store(self, tmp_path, tiny_config, capsys):
+        from repro.cli import main
+
         run_point(*KEY, tiny_config,
                   policy=PointPolicy(store=PointStore(tmp_path / "c")))
-        info = cache_info(tmp_path / "c")
-        assert info.store.entries == 1
-        assert "1 entries" in info.store.summary()
+        assert main(["cache", "info", "--point-cache",
+                     str(tmp_path / "c")]) == 0
+        assert "1 entries" in capsys.readouterr().out
 
-    def test_clear_cache_clears_both_layers(self, tmp_path, tiny_config):
+    def test_cache_clear_empties_the_store(self, tmp_path, tiny_config,
+                                           capsys):
+        from repro.cli import main
+
         store = PointStore(tmp_path / "c")
         run_point(*KEY, tiny_config, policy=PointPolicy(store=store))
-        run_point(*KEY, tiny_config)  # populate the memo too
-        assert clear_cache(store) == 1
-        assert cache_info(store).currsize == 0
+        assert main(["cache", "clear", "--point-cache",
+                     str(tmp_path / "c")]) == 0
+        assert "removed 1 cached point(s)" in capsys.readouterr().out
         assert store.info().entries == 0
         inj = faults.FaultInjector()
         with faults.inject(inj):

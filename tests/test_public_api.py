@@ -54,8 +54,7 @@ class TestModuleHygiene:
         for name in ("repro.core", "repro.cache", "repro.ir",
                      "repro.trace", "repro.kernels", "repro.layout",
                      "repro.multigrid", "repro.perfmodel",
-                     "repro.experiments", "repro.baselines",
-                     "repro.timeskew"):
+                     "repro.experiments", "repro.baselines"):
             importlib.import_module(name)
 
 

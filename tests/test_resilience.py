@@ -23,6 +23,8 @@ from repro.resilience import (
 )
 from repro.resilience import faults
 
+from tests.helpers import mark_adopted
+
 
 class TestAtomicWrite:
     def test_creates_parents_and_writes(self, tmp_path):
@@ -247,39 +249,30 @@ class TestJournalVersioning:
         path = tmp_path / "j.jsonl"
         CheckpointJournal.open(path, self.FP).record(("K",), {})
         other = "beef" * 16
+        before = path.read_text()
         with pytest.raises(CheckpointError) as ei:
             CheckpointJournal.open(path, other)
         msg = str(ei.value)
         assert self.FP in msg and other in msg
-        assert "--resume-force" in msg
-
-    def test_force_adopts_mismatched_journal(self, tmp_path):
-        path = tmp_path / "j.jsonl"
-        CheckpointJournal.open(path, self.FP).record(("K", 1), {"x": 1})
-        other = "beef" * 16
-        with pytest.warns(CheckpointWarning, match="overridden"):
-            j = CheckpointJournal.open(path, other, force=True)
-        assert j.get(("K", 1)) == {"x": 1}
-        assert j.fingerprint == other
-        # The rewrite rebinds the file, so a plain reopen now works.
-        j2 = CheckpointJournal.open(path, other)
-        assert j2.get(("K", 1)) == {"x": 1}
-
-    def test_adoption_is_remembered_across_rewrites(self, tmp_path):
-        path = tmp_path / "j.jsonl"
-        CheckpointJournal.open(path, self.FP).record(("K", 1), {"x": 1})
-        assert CheckpointJournal.open(path, self.FP).adopted_from is None
-        other = "beef" * 16
-        with pytest.warns(CheckpointWarning, match="overridden"):
+        # There is no override to offer, and the journal is untouched.
+        assert "resume-force" not in msg
+        assert path.read_text() == before
+        with pytest.raises(TypeError):
             CheckpointJournal.open(path, other, force=True)
-        CheckpointJournal.open(path, other).record(("K", 2), {"x": 2})
-        assert CheckpointJournal.open(path, other).adopted_from == self.FP
 
-    def test_force_is_noop_when_fingerprints_match(self, tmp_path):
+    def test_adopted_journal_is_refused(self, tmp_path):
+        # A journal an earlier build adopted across configurations holds
+        # another configuration's points under the new fingerprint.
         path = tmp_path / "j.jsonl"
         CheckpointJournal.open(path, self.FP).record(("K", 1), {"x": 1})
-        j = CheckpointJournal.open(path, self.FP, force=True)  # no warning
-        assert len(j) == 1
+        other = "beef" * 16
+        assert mark_adopted(path, other) == self.FP
+        before = path.read_text()
+        for fp in (other, self.FP):
+            with pytest.raises(CheckpointError, match="adopted from"):
+                CheckpointJournal.open(path, fp)
+        assert path.read_text() == before
+        assert not hasattr(CheckpointJournal, "adopted_from")
 
     def test_orphan_tmp_swept_on_open(self, tmp_path):
         path = tmp_path / "j.jsonl"

@@ -30,6 +30,8 @@ from repro.perf import PointStore
 from repro.resilience import faults
 from repro.resilience.pool import available
 
+from tests.helpers import mark_adopted
+
 pytestmark = pytest.mark.skipif(
     not available(), reason="multiprocessing unavailable")
 
@@ -157,42 +159,22 @@ class TestJournalInterop:
         assert len(flat(res)) == len(STRATS) * len(SIZES)
         assert res == sweep("JACOBI", STRATS, SIZES, tiny_config)
 
-    def test_resume_force_threads_through_sweep(self, tmp_path, tiny_config,
-                                                tiny_l1, tiny_l2):
-        from repro.experiments.config import ExperimentConfig
-        from repro.resilience import CheckpointWarning
-
-        ckpt = tmp_path / "f.jsonl"
-        sweep("JACOBI", ["Orig"], [40], tiny_config,
-              options=SweepOptions(checkpoint=ckpt))
-        other = ExperimentConfig(l1=tiny_l1, l2=tiny_l2, nk=5)
-        with pytest.raises(CheckpointError, match="different configuration"):
-            sweep("JACOBI", ["Orig"], [40], other,
-                  options=SweepOptions(checkpoint=ckpt))
-        with pytest.warns(CheckpointWarning, match="overridden"):
-            res = sweep("JACOBI", ["Orig"], [40], other,
-                        options=SweepOptions(checkpoint=ckpt,
-                                             resume_force=True))
-        # The adopted journal's point is served as-is (nk still the
-        # original config's) — that is what "trusted as-is" means.
-        assert res["Orig"][0].nk == tiny_config.nk
-
     def test_adopted_journal_points_stay_out_of_the_store(
             self, tmp_path, tiny_config, tiny_l1, tiny_l2):
         from repro.experiments.config import ExperimentConfig
-        from repro.resilience import CheckpointWarning
 
         ckpt, cache = tmp_path / "f.jsonl", tmp_path / "store"
         sweep("JACOBI", ["Orig"], [40], tiny_config,
               options=SweepOptions(checkpoint=ckpt))
         other = ExperimentConfig(l1=tiny_l1, l2=tiny_l2, nk=5)
-        with pytest.warns(CheckpointWarning, match="overridden"):
-            sweep("JACOBI", ["Orig"], [40], other,
-                  options=SweepOptions(checkpoint=ckpt, resume_force=True,
-                                       point_cache=cache))
-        # A plain resume of the rebound journal still knows it was adopted.
-        sweep("JACOBI", ["Orig"], [40], other,
-              options=SweepOptions(checkpoint=ckpt, point_cache=cache))
+        opts = SweepOptions(checkpoint=ckpt, point_cache=cache)
+        # A journal under another configuration is refused...
+        with pytest.raises(CheckpointError, match="different configuration"):
+            sweep("JACOBI", ["Orig"], [40], other, options=opts)
+        # ...and so is one an earlier build adopted under this one.
+        mark_adopted(ckpt, config_fingerprint(other))
+        with pytest.raises(CheckpointError, match="adopted from"):
+            sweep("JACOBI", ["Orig"], [40], other, options=opts)
         assert PointStore(cache).info().entries == 0
         # So a journal-less run under the new config simulates its point
         # instead of being served the old config's numbers.
