@@ -101,18 +101,24 @@ def test_disabled_cache_path_differential(tiny_config, monkeypatch):
     simulated numbers, the fast path would be fast and wrong. The
     generator reads its bound at call time, so patching
     ``DEFAULT_CHUNK_ADDRESSES`` (``0`` = unbounded) re-chunks every
-    trace of a point, the extrapolated Orig points' included.
+    trace of a point: those costed from segment templates (untiled and
+    tiled), RESID GcdPad's, which the segment filter simulates segment
+    by segment with only the I shifts of its padded U eligible and, at
+    NK = 8, no template matching, and RESID GcdPadNT's, which its mixed
+    plane strides keep on one full simulation.
     """
     bound = "repro.trace.generator.DEFAULT_CHUNK_ADDRESSES"
-    for kernel in ("JACOBI", "RESID"):
-        for strategy in ("Orig", "GcdPad"):
-            monkeypatch.setattr(bound, 0)
-            mono = run_point(kernel, strategy, 48, tiny_config)
-            assert mono.extrapolated == (strategy == "Orig"), mono
-            for chunk in (64, 1024, 100_000):
-                monkeypatch.setattr(bound, chunk)
-                chunked = run_point(kernel, strategy, 48, tiny_config)
-                assert chunked == mono, (kernel, strategy, chunk)
+    for kernel, strategy, extrapolated in (
+            ("JACOBI", "Orig", True), ("JACOBI", "GcdPad", True),
+            ("RESID", "Orig", True), ("RESID", "GcdPad", False),
+            ("RESID", "GcdPadNT", False)):
+        monkeypatch.setattr(bound, 0)
+        mono = run_point(kernel, strategy, 48, tiny_config)
+        assert mono.extrapolated == extrapolated, mono
+        for chunk in (64, 1024, 100_000):
+            monkeypatch.setattr(bound, chunk)
+            chunked = run_point(kernel, strategy, 48, tiny_config)
+            assert chunked == mono, (kernel, strategy, chunk)
 
 
 def test_warm_store_integrity_overhead_within_noise(tiny_config, tmp_path):

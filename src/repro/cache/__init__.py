@@ -20,10 +20,9 @@ provides that simulator:
 * :class:`~repro.cache.hierarchy.CacheHierarchy` — multi-level
   composition with write-around / write-allocate policies;
 * :mod:`~repro.cache.partition` / :class:`~repro.cache.engine.HierarchyEngine`
-  — the O(n + num_sets) counting-sort partition and the batched
-  single-pass engine behind ``CacheHierarchy.run`` (bit-identical
-  statistics, one partition per batch instead of one sort per chunk
-  per level);
+  — the O(window) set partition and the batched single-pass engine
+  behind ``CacheHierarchy.run`` (bit-identical statistics, one
+  partition per batch instead of one sort per chunk per level);
 * :class:`~repro.cache.classify.MissClassifier` — shadow
   fully-associative simulation splitting misses into cold / conflict /
   capacity (the paper's Section 2-3 story, made measurable);

@@ -204,8 +204,8 @@ class AssocScanCache(CacheLevel):
         self._depth.fill(0)
 
     # ------------------------------------------------------------------
-    def access_grouped(self, l_sorted: np.ndarray,
-                       bp: np.ndarray) -> tuple[np.ndarray, int]:
+    def access_grouped(self, l_sorted: np.ndarray, occ: np.ndarray,
+                       bounds: np.ndarray) -> tuple[np.ndarray, int]:
         """Simulate a set-partitioned line stream against the carried
         LRU stacks (see :meth:`CacheLevel.access_grouped`)."""
         n = l_sorted.size
@@ -213,9 +213,8 @@ class AssocScanCache(CacheLevel):
             return np.zeros(0, dtype=bool), 0
         A = self.params.assoc
 
-        occ = np.flatnonzero(bp[1:] > bp[:-1])   # occupied set ids
-        seg_start = bp[occ]
-        seg_len = bp[occ + 1] - seg_start
+        seg_start = bounds[:-1]
+        seg_len = np.diff(bounds)
         depth = self._depth[occ]                 # ghosts per segment
         cum = np.cumsum(depth)                   # inclusive ghost totals
         cum_excl = cum - depth

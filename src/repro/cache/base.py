@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.cache.params import CacheParams
-from repro.cache.partition import counting_available, partition
+from repro.cache.partition import partition
 
 __all__ = ["CacheStats", "CacheLevel", "BATCH_TARGET"]
 
@@ -46,16 +46,13 @@ class CacheStats:
 
 
 def _set_dtype(num_sets: int):
-    """Set-index dtype the partition consumes without a conversion.
+    """The narrowest dtype that holds a set index.
 
-    The counting partition wants int32 directly (its scatter kernel is
-    compiled for 32-bit indices); the argsort fallback is ~5x faster on
-    the narrowest dtype that holds a set index (numpy's radix path) —
-    int16 covers up to 32768 sets, which includes both of the paper's
-    caches.
+    The argsort partition consumes it without a conversion (numpy's
+    radix path, int16 up to 32768 sets, which includes both of the
+    paper's caches); the counting partition widens it to int32 for
+    scipy's 32-bit scatter kernel.
     """
-    if counting_available() and num_sets <= (1 << 31):
-        return np.int32
     if num_sets <= (1 << 15):
         return np.int16
     if num_sets <= (1 << 31):
@@ -105,16 +102,18 @@ class CacheLevel:
         np.bitwise_and(sets, self._set_mask_narrow, out=sets)
         return sets
 
-    def access_grouped(self, l_sorted: np.ndarray,
-                       bp: np.ndarray) -> tuple[np.ndarray, int]:
+    def access_grouped(self, l_sorted: np.ndarray, occ: np.ndarray,
+                       bounds: np.ndarray) -> tuple[np.ndarray, int]:
         """Simulate a set-partitioned line stream against carried state.
 
         ``l_sorted`` holds line ids grouped by set index (program order
-        within each group) and ``bp`` the group boundaries as returned
-        by :func:`repro.cache.partition.partition` (set ``s`` occupies
-        ``l_sorted[bp[s]:bp[s + 1]]``). Returns ``(miss_sorted,
-        n_miss)`` in the partitioned order and updates the carried
-        state; the caller owns statistics.
+        within each group); ``occ`` and ``bounds`` are the occupied sets
+        and their group bounds as returned by
+        :func:`repro.cache.partition.partition` (set ``occ[g]`` occupies
+        ``l_sorted[bounds[g]:bounds[g + 1]]``), so the work is
+        O(window), never O(num_sets). Returns ``(miss_sorted, n_miss)``
+        in the partitioned order and updates the carried state; the
+        caller owns statistics.
         """
         raise NotImplementedError
 
@@ -126,9 +125,9 @@ class CacheLevel:
         n_miss = 0
         for s in range(0, n, self.window):
             lines = byte_addrs[s:s + self.window] >> self._line_shift
-            order, bp = partition(self.set_index(lines),
-                                  self.params.num_sets)
-            miss_sorted, k = self.access_grouped(lines[order], bp)
+            order, occ, bounds = partition(self.set_index(lines),
+                                           self.params.num_sets)
+            miss_sorted, k = self.access_grouped(lines[order], occ, bounds)
             miss[s:s + self.window][order] = miss_sorted
             n_miss += k
         self.stats.accesses += n

@@ -34,8 +34,8 @@ its program-order miss mask, and the classification is split-invariant,
 so the counts equal those of the per-chunk
 :meth:`CacheHierarchy.access <repro.cache.hierarchy.CacheHierarchy.access>`
 loop. Classification is incompatible with
-K-plane extrapolation (:mod:`repro.experiments.extrapolate`) — skipped
-planes are never simulated, so their misses could not be classified.
+segment templates (:mod:`repro.experiments.extrapolate`) — skipped
+segments are never simulated, so their misses could not be classified.
 Classification takes precedence: a classified point is simulated in
 full (extrapolation reason ``classifiers``), so under ``--metrics``
 ``repro.sim.miss_class`` always sums to ``repro.sim.misses``.

@@ -123,9 +123,9 @@ class HierarchyEngine:
         if i == 0:
             metrics.inc("repro.cache.batches")
         lines = window >> self._shifts[i]
-        order, bp = partition(lvl.set_index(lines), self._nsets[i],
-                              self._strategy)
-        miss_sorted, nmiss = lvl.access_grouped(lines[order], bp)
+        order, occ, bounds = partition(lvl.set_index(lines), self._nsets[i],
+                                       self._strategy)
+        miss_sorted, nmiss = lvl.access_grouped(lines[order], occ, bounds)
         lvl.stats.accesses += window.size
         lvl.stats.misses += nmiss
         last = i + 1 == self._nlev

@@ -10,8 +10,8 @@ here and nowhere else. Every choice is a
 ``access_grouped``, the one contract the hierarchy engine drives:
 
 * ``assoc == 1`` — :class:`~repro.cache.direct_mapped.DirectMappedCache`,
-  the counting-partition segmented scan (fastest; also the only class
-  exposing the tag-shift primitives steady-state extrapolation needs);
+  the partitioned segmented scan (fastest; also the only class that
+  records the first-touch templates exact acceleration needs);
 * ``assoc == 2`` — :class:`~repro.cache.two_way.TwoWayCache`, the
   run-head-compression specialization (cheaper than the general scan
   for exactly two ways);

@@ -172,19 +172,20 @@ class CacheHierarchy:
         self.reads = 0
         self.writes = 0
 
-    def _sync_engine(self) -> None:
-        """Simulate anything the in-flight engine has buffered.
+    def flush(self) -> None:
+        """Simulate anything an in-flight :meth:`run` has buffered.
 
         Called before any operation that reads or mutates level state
-        out-of-band (stats, invalidate, reset, a direct access), so
-        buffered accesses land *before* the operation in stream order.
+        out-of-band (stats, invalidate, reset, a direct access, a
+        template-costed segment), so buffered accesses land *before*
+        the operation in stream order. A no-op outside a run.
         """
         if self._engine is not None:
             self._engine.flush()
 
     def reset(self) -> None:
         """Zero everything: contents, per-level stats, carried stats."""
-        self._sync_engine()
+        self.flush()
         for lvl in self._levels:
             lvl.reset()
         self._carry = [CacheStats() for _ in self._levels]
@@ -203,7 +204,7 @@ class CacheHierarchy:
         model a mid-stream cold restart (context switch, flush).
         ``level=None`` invalidates every level.
         """
-        self._sync_engine()
+        self.flush()
         targets = range(len(self._levels)) if level is None else [level]
         for i in targets:
             lvl = self._levels[i]
@@ -241,9 +242,9 @@ class CacheHierarchy:
         """Account statistics for accesses that were *not* simulated.
 
         ``level_deltas`` holds one ``(accesses, misses)`` pair per
-        level. Used by the steady-state extrapolation path
-        (:mod:`repro.experiments.extrapolate`), which proves the counts
-        in closed form instead of replaying the stream.
+        level. Used by the exact acceleration
+        (:mod:`repro.experiments.extrapolate`), which costs a trace
+        segment from a first-touch template instead of replaying it.
         """
         if len(level_deltas) != len(self._levels):
             raise ConfigurationError(
@@ -285,7 +286,7 @@ class CacheHierarchy:
         reference the engine behind :meth:`run` is differentially
         tested against, classification included.
         """
-        self._sync_engine()
+        self.flush()
         cacheable = self._cacheable(byte_addrs, is_write)
 
         current = cacheable
@@ -367,8 +368,7 @@ class CacheHierarchy:
 
     def stats(self) -> HierarchyStats:
         """Totals for the whole stream, including invalidated epochs."""
-        if self._engine is not None:
-            self._engine.flush()
+        self.flush()
         merged = []
         for p, lvl, carry in zip(self.params, self._levels, self._carry):
             st = carry.copy()

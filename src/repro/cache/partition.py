@@ -1,27 +1,25 @@
 """Stable set-index partitioning: the sort under every cache simulator.
 
 Every vectorized simulator in this package reduces to the same
-primitive: group a chunk's accesses by set index while preserving
-program order inside each group. The original implementation used
-``np.argsort(kind="stable")`` — an O(n log n) comparison/radix sort —
-even though the key space is tiny (512 sets for the paper's L1, 32768
-for its L2). A *counting sort* does the same job in O(n + num_sets):
-count keys, prefix-sum the counts into group boundaries, scatter each
-element's position into its group. As a bonus the boundaries come out
-for free, replacing the sorted-key adjacent-compare + ``flatnonzero``
-segment discovery the simulators used to pay for.
+primitive: group a window's accesses by set index while preserving
+program order inside each group. :func:`partition` returns the stable
+permutation together with the *occupied* sets and their group bounds,
+both read off the sorted keys in O(window): a window's cost never
+grows with the cache's set count, so a small window at a 32,768-set L2
+costs what it costs at a 512-set L1.
 
-numpy has no vectorized *stable* counting-sort scatter (the per-key
-running offset is an inherently sequential scan), but scipy ships one:
-``coo_tocsr`` — COO→CSR conversion *is* exactly "counting-sort rows,
-carrying column/data along". Feeding it the set indices as rows and
-positions as data yields the stable permutation and the CSR ``indptr``
-is the group-boundary prefix sum. :func:`partition` uses it when scipy
-is importable and falls back to the original stable argsort (plus one
-``bincount`` for the boundaries) otherwise — both strategies return
-**bit-for-bit identical** results (the differential tests in
-``tests/test_cache_engine.py`` prove it), so the choice is purely a
-speed knob.
+Two strategies produce the permutation, **bit-for-bit identical**
+(the differential tests in ``tests/test_cache_engine.py`` prove it):
+
+* ``"argsort"`` — numpy's stable argsort of the keys narrowed to the
+  smallest integer type holding them; up to 2**15 keys that is a radix
+  sort, linear in the window;
+* ``"counting"`` — scipy's ``coo_tocsr``: COO->CSR conversion *is*
+  "counting-sort rows, carrying column/data along", so feeding it the
+  set indices as rows and positions as data yields the stable
+  permutation. Its row-pointer array is O(num_keys), so it is picked
+  only for windows large against the key count (or keys too wide for
+  the radix path) and only when scipy is importable.
 """
 
 from __future__ import annotations
@@ -53,9 +51,14 @@ def counting_available() -> bool:
     return _HAVE_COUNTING
 
 
-def default_strategy() -> str:
-    """The strategy :func:`partition` picks when none is forced."""
-    return "counting" if _HAVE_COUNTING else "argsort"
+def default_strategy(n: int, num_keys: int) -> str:
+    """The strategy :func:`partition` picks for ``n`` keys when none is
+    forced: counting only where its O(``num_keys``) row pointers are
+    amortized (``n >= 2 * num_keys``) or the keys are too wide for the
+    radix argsort."""
+    if _HAVE_COUNTING and (n >= 2 * num_keys or num_keys > (1 << 15)):
+        return "counting"
+    return "argsort"
 
 
 def _narrow_for_argsort(keys: np.ndarray, num_keys: int) -> np.ndarray:
@@ -72,61 +75,71 @@ def _narrow_for_argsort(keys: np.ndarray, num_keys: int) -> np.ndarray:
     return keys if keys.dtype == dtype else keys.astype(dtype)
 
 
-def partition(keys: np.ndarray, num_keys: int,
-              strategy: str | None = None) -> tuple[np.ndarray, np.ndarray]:
+def partition(keys: np.ndarray, num_keys: int, strategy: str | None = None
+              ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Stable partition of ``keys`` (integers in ``[0, num_keys)``).
 
-    Returns ``(order, bp)``:
+    Returns ``(order, occ, bounds)``:
 
     * ``order`` — the stable sorting permutation, identical to
       ``np.argsort(keys, kind="stable")``, as ``np.intp`` (the fastest
       fancy-index dtype);
-    * ``bp`` — int64 group boundaries, ``len == num_keys + 1`` with
-      ``bp[0] == 0`` and ``bp[-1] == len(keys)``: group ``k`` occupies
-      ``order[bp[k]:bp[k + 1]]``. Empty groups are empty slices.
+    * ``occ`` — the occupied keys, ascending, as ``np.intp``;
+    * ``bounds`` — int64 group bounds, ``len == len(occ) + 1`` with
+      ``bounds[0] == 0`` and ``bounds[-1] == len(keys)``: key ``occ[g]``
+      occupies ``order[bounds[g]:bounds[g + 1]]``.
 
-    ``strategy`` forces ``"counting"`` (scipy ``coo_tocsr``) or
-    ``"argsort"`` (the pre-engine stable sort); ``None`` picks
-    :func:`default_strategy`. A forced ``"counting"`` quietly falls
-    back to ``"argsort"`` when scipy is unavailable or the input
-    exceeds 32-bit indexing — results are identical either way.
+    ``occ`` and ``bounds`` cost O(``len(keys)``) whatever ``num_keys``
+    is: they are read off the sorted keys, or off the counting path's
+    row pointers when those are no longer than the window. ``strategy``
+    forces ``"counting"`` (scipy ``coo_tocsr``) or ``"argsort"``;
+    ``None`` picks :func:`default_strategy`. A forced ``"counting"``
+    quietly falls back to ``"argsort"`` when scipy is unavailable or the
+    input exceeds 32-bit indexing — results are identical either way.
     """
+    n = keys.size
     if strategy is None:
-        strategy = default_strategy()
+        strategy = default_strategy(n, num_keys)
     elif strategy not in PARTITION_STRATEGIES:
         raise ValueError(
             f"unknown partition strategy {strategy!r}; "
             f"valid: {PARTITION_STRATEGIES}")
-    n = keys.size
     if strategy == "counting" and (
             not _HAVE_COUNTING or n > _COUNTING_MAX
             or num_keys > _COUNTING_MAX):
         strategy = "argsort"
 
     if n == 0:
-        return (np.empty(0, dtype=np.intp),
-                np.zeros(num_keys + 1, dtype=np.int64))
+        return (np.empty(0, dtype=np.intp), np.empty(0, dtype=np.intp),
+                np.zeros(1, dtype=np.int64))
+    metrics.inc("repro.cache.partition", strategy=strategy)
 
     if strategy == "counting":
-        k32 = keys if keys.dtype == np.int32 else keys.astype(np.int32)
+        k = keys if keys.dtype == np.int32 else keys.astype(np.int32)
         pos = np.arange(n, dtype=np.int32)
-        bp32 = np.zeros(num_keys + 1, dtype=np.int32)
+        indptr = np.zeros(num_keys + 1, dtype=np.int32)
         order32 = np.empty(n, dtype=np.int32)
         scratch = np.empty(n, dtype=np.int32)
         # COO->CSR with rows = keys, data = positions: the CSR column/
         # data arrays come out as the stable permutation and indptr as
-        # the boundary prefix sum. ``pos`` is passed as both Aj and Ax
-        # (read-only inputs may alias); only one output is kept.
-        _sparsetools.coo_tocsr(num_keys, n, n, k32, pos, pos,
-                               bp32, order32, scratch)
-        metrics.inc("repro.cache.partition", strategy="counting")
-        return order32.astype(np.intp), bp32.astype(np.int64)
-
-    narrow = _narrow_for_argsort(keys, num_keys)
-    order = np.argsort(narrow, kind="stable")
-    counts = np.bincount(narrow, minlength=num_keys)
-    bp = np.empty(num_keys + 1, dtype=np.int64)
-    bp[0] = 0
-    np.cumsum(counts, out=bp[1:])
-    metrics.inc("repro.cache.partition", strategy="argsort")
-    return order, bp
+        # the group-bound prefix sum. ``pos`` is passed as both Aj and
+        # Ax (read-only inputs may alias); only one output is kept.
+        _sparsetools.coo_tocsr(num_keys, n, n, k, pos, pos,
+                               indptr, order32, scratch)
+        order = order32.astype(np.intp)
+        if num_keys <= n:
+            occ = np.flatnonzero(indptr[1:] > indptr[:-1])
+            bounds = np.empty(occ.size + 1, dtype=np.int64)
+            bounds[:-1] = indptr[occ]
+            bounds[-1] = n
+            return order, occ, bounds
+    else:
+        k = _narrow_for_argsort(keys, num_keys)
+        order = np.argsort(k, kind="stable")
+    ks = k[order]
+    cuts = np.flatnonzero(ks[1:] != ks[:-1])
+    bounds = np.empty(cuts.size + 2, dtype=np.int64)
+    bounds[0] = 0
+    np.add(cuts, 1, out=bounds[1:-1])
+    bounds[-1] = n
+    return order, ks[bounds[:-1]].astype(np.intp), bounds

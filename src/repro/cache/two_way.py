@@ -57,22 +57,21 @@ class TwoWayCache(CacheLevel):
         self._lru.fill(-2)
 
     # ------------------------------------------------------------------
-    def access_grouped(self, l_sorted: np.ndarray,
-                       bp: np.ndarray) -> tuple[np.ndarray, int]:
+    def access_grouped(self, l_sorted: np.ndarray, occ: np.ndarray,
+                       bounds: np.ndarray) -> tuple[np.ndarray, int]:
         """Simulate a set-partitioned line stream against the carried
         pairs (see :meth:`CacheLevel.access_grouped`)."""
         n = l_sorted.size
         miss = np.zeros(n, dtype=bool)
         if n == 0:
             return miss, 0
-        occupied = np.flatnonzero(bp[1:] > bp[:-1])  # sets with accesses
         # Previous access's line, with the carried MRU at segment starts.
         prev1 = np.empty(n, dtype=np.int64)
         prev1[1:] = l_sorted[:-1]
-        prev1[bp[occupied]] = self._mru[occupied]
+        prev1[bounds[:-1]] = self._mru[occ]
         # A segment's last line is its new MRU (for a segment without
         # run heads that is the carried MRU, so this is always right).
-        self._mru[occupied] = l_sorted[bp[occupied + 1] - 1]
+        self._mru[occ] = l_sorted[bounds[1:] - 1]
         head = np.flatnonzero(l_sorted != prev1)      # non-heads hit
         if head.size == 0:
             return miss, 0

@@ -42,13 +42,13 @@ records so the artifact is clean again.
 
 Sweeps carrying a checkpoint or point cache drain gracefully on
 SIGINT/SIGTERM: in-flight points finish and journal, the command exits
-130, and re-running resumes from the journal. Every exact point runs
-exact steady-state K-plane extrapolation: untiled points stop simulating
-once their per-plane statistics provably repeat (shift-equivalent cache
-tags) and the rest is costed in closed form — identical miss counts,
-flagged per point (``simulate`` prints ``[extrapolated]``); ineligible
-points, and every point under ``--metrics`` (3C classification must see
-every access), are simulated in full.
+130, and re-running resumes from the journal. Every exact point is cut
+into segments (K planes, tile columns), and a segment that is a
+whole-line translate of an earlier simulated one is costed from that
+segment's first-touch template instead of simulated — identical miss
+counts, flagged per point (``simulate`` prints ``[extrapolated]``);
+ineligible points, and every point under ``--metrics`` (3C
+classification must see every access), are simulated in full.
 
 Observability (every command, flags go after the subcommand name):
 ``--log-json PATH`` records the run's structured event timeline as

@@ -1,292 +1,332 @@
-"""Exact steady-state K-plane extrapolation.
+"""Exact acceleration by first-touch segment templates.
 
-Untiled stencil sweeps walk the grid one K plane at a time, and every
-reference's byte address is *linear in K*: stepping ``k -> k + 1``
-shifts the whole plane's address stream by exactly ``plane_bytes``
-(the shared plane stride times the element size). Direct-mapped caches
-are shift-equivariant in line space — if the resident-tag array after
-plane ``k`` equals the tag array after plane ``k - p`` with every line
-id advanced by ``p * plane_lines`` (and rotated through the set index
-accordingly), then plane ``k + 1`` replays plane ``k - p + 1``'s
-hit/miss sequence verbatim, and so on by induction. Once that
-*shift-equivalence* is observed, the remaining planes' statistics
-follow in closed form: the per-plane miss deltas of the last ``p``
-simulated planes simply cycle.
+A point's iteration stream is cut into *segments*: one K plane of an
+untiled sweep, or one tile column of a tiled one. Tiles under
+:data:`SEGMENT_ITERATIONS` iterations (Euc3D's 1x1 fallback) are
+grouped: a segment is then the smallest run of consecutive tiles of one
+row that reaches that size and moves by whole lines of the widest
+level.
 
-This module drives a point's simulation plane by plane, watches for
-shift-equivalence (periods 1..:data:`QMAX`), and **stops simulating**
-when it fires — extrapolating the rest exactly, in integer arithmetic.
-It is how the runner simulates every exact point
-(:func:`~repro.experiments.runner._simulate_exact`), and it is
-conservative: *every* skipped plane is still
-structurally verified (same (I, J) iteration pattern as its cycle
-counterpart, K advancing by one), and any violation fast-forwards the
-cache state by the proven shift and resumes full simulation
-mid-stream. Points where the preconditions never hold degrade to full
-simulation and report why.
+Every simulated segment leaves, at each direct-mapped level, a
+:class:`~repro.cache.direct_mapped.FirstTouchTemplate`: its internal
+misses (accesses that are not the first touch of their set in the
+segment), each touched set's first line and first-touch outcome, and
+the last line left in each set. A later segment is **costed from a
+template instead of generated and simulated** when
 
-Ineligible by construction (checked in this order):
+* its iteration arrays equal the template's shifted by (dI, dJ, dK) —
+  compared, not assumed — and
+* that shift moves every array by one byte distance ``d`` that is a
+  multiple of every level's line size (dI always gives one; dJ and dK
+  only when all arrays share that stride).
 
-* **classifiers** — 3C classification must observe every access;
-  skipped planes would leave the shadow caches stale, so a classified
-  point is simulated in full (``reason="classifiers"``);
-* **tiled schedules** — a tile spans all K planes, so there is no
-  plane-periodic stream to extrapolate (``reason="tiled_schedule"``);
-* **non-direct-mapped levels** — only :class:`DirectMappedCache`
-  exposes the tag-array shift primitives
-  (``reason="level_not_direct_mapped"``);
-* **mixed plane strides** — when arrays have different padded plane
-  sizes (e.g. RESID with only some arrays padded), a K step shifts
-  each array's stream by a different amount and no single tag shift
-  exists (``reason="plane_stride"``; also when the common plane stride
-  is not line-aligned).
+A whole-line translate leaves a segment's internal misses unchanged,
+and each first touch hits or misses by the set's prior tag alone. So if
+every level but the last reproduces the template's first-touch outcomes
+on the shifted sets, the next level's input is the template's translate
+too, and at every level the segment's misses are the template's
+internal misses plus its first-touch misses against the current tags;
+the touched sets then hold the template's last lines plus ``d``. That
+is one gather, compare and scatter per level over the segment's
+footprint sets: the fix-up step of time-partitioned trace-driven cache
+simulation (Heidelberger & Stone, "Parallel trace-driven cache
+simulation by time partitioning", WSC 1990), applied to translates.
+
+A segment's candidates are the templates of the previous
+:data:`CANDIDATE_DEPTH` segments and of the previous
+:data:`CANDIDATE_DEPTH` segments that started at the same I (the same
+tile position in earlier tile rows; for an untiled sweep, the earlier
+planes of the same red-black colour). A costed segment passes its
+template on to its own successors. Simulated segments run through the
+point's one ``CacheHierarchy.run``, with the engine flushed at each
+segment's boundary so its template covers exactly that segment.
+
+Ineligible by construction, and simulated in full (checked in this
+order):
+
+* **classifiers** — 3C classification must observe every access
+  (``reason="classifiers"``);
+* **non-direct-mapped levels** — only
+  :class:`~repro.cache.direct_mapped.DirectMappedCache` records
+  templates (``reason="level_not_direct_mapped"``);
+* **mixed plane strides in an untiled sweep** — its segments differ by
+  K steps only, and when arrays have different padded plane sizes
+  (RESID GcdPadNT) a K step moves each array by a different distance,
+  so no single ``d`` exists (``reason="plane_stride"``). Tiled
+  schedules with mixed strides (RESID's padded U) stay eligible; only
+  their dI shifts qualify.
+
+A point where no segment ever matched a template reports
+``reason="no_steady_state"``.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from itertools import chain
+from math import gcd
 
 import numpy as np
 
 from repro.cache.direct_mapped import DirectMappedCache
 from repro.cache.hierarchy import CacheHierarchy, HierarchyStats
-from repro.trace.generator import trace_chunks
+from repro.kernels.base import Schedule
+from repro.trace.generator import count_refs, trace_chunks
 
-__all__ = ["ExtrapolationReport", "QMAX", "simulate_extrapolated"]
+__all__ = ["CANDIDATE_DEPTH", "ExtrapolationReport", "SEGMENT_ITERATIONS",
+           "simulate_extrapolated"]
 
-#: Largest steady-state period checked (red-black sweeps alternate
-#: plane parity, so their natural period is 2; plain sweeps need 1).
-QMAX = 4
+#: Iterations a grouped segment of small tiles reaches at least.
+SEGMENT_ITERATIONS = 2000
+
+#: Previous segments, and previous segments at the same I, whose
+#: templates a segment tries.
+CANDIDATE_DEPTH = 8
 
 
 @dataclass(frozen=True)
 class ExtrapolationReport:
-    """What the extrapolating driver actually did for one point."""
+    """What the segment filter did for one point."""
 
-    #: True when at least one plane's statistics were extrapolated
-    #: instead of simulated.
+    #: True when at least one segment was costed from a template.
     fired: bool
-    planes_simulated: int
-    planes_skipped: int
-    #: Steady-state period in planes (None when extrapolation never fired).
-    period: int | None
-    #: Why the point (fully or partially) fell back to simulation:
-    #: ``classifiers`` / ``tiled_schedule`` /
+    #: Segments generated and simulated (0 when the point was
+    #: ineligible and simulated whole).
+    segments_simulated: int
+    #: Segments costed from a template instead.
+    segments_skipped: int
+    #: Demand references (reads and writes) of the skipped segments.
+    refs_skipped: int
+    #: Why the point was simulated in full: ``classifiers`` /
     #: ``level_not_direct_mapped`` / ``plane_stride`` /
-    #: ``not_plane_periodic`` / ``no_steady_state``; ``None`` when
-    #: every remaining plane was extrapolated.
+    #: ``no_steady_state``; ``None`` when a segment was skipped.
     reason: str | None
 
 
 def _ineligibility(sel, hier: CacheHierarchy, specs) -> str | None:
     """The precondition that rules this point out, or ``None``."""
     if any(c is not None for c in hier.classifiers):
-        # Miss classifiers must observe every access; skipped planes
-        # would leave the shadow caches stale (see module docstring).
+        # Miss classifiers must observe every access; skipped segments
+        # would leave the shadow caches stale.
         return "classifiers"
-    if sel.tiled:
-        return "tiled_schedule"
     if not all(isinstance(l, DirectMappedCache) for l in hier.levels):
         return "level_not_direct_mapped"
-    planes = {spec.plane for spec in specs.values()}
-    if len(planes) != 1:
-        return "plane_stride"
-    plane_bytes = planes.pop() * next(iter(specs.values())).elem_bytes
-    if any(plane_bytes % p.line_bytes for p in hier.params):
+    if not sel.tiled and len({s.plane for s in specs.values()}) != 1:
         return "plane_stride"
     return None
 
 
-def _sig_equal(a, b) -> bool:
-    """Whether two plane (I, J) iteration signatures are identical."""
-    return ((a[0] is b[0] or np.array_equal(a[0], b[0]))
-            and (a[1] is b[1] or np.array_equal(a[1], b[1])))
+def _tiles_per_segment(kern, sel, schedule: Schedule,
+                       line_bytes: int) -> int | None:
+    """Tiles per segment of a tiled schedule; ``None`` when untiled."""
+    if not sel.tiled:
+        return None
+    ti = min(sel.tile.ti, kern.n - 2)
+    if schedule is Schedule.TILED_3LOOP:
+        depth = (sel.array_tile.tk if sel.array_tile is not None
+                 else kern.meta.atd)
+    else:
+        depth = kern.nk - 2
+    tile_iters = ti * min(sel.tile.tj, kern.n - 2) * depth
+    if tile_iters >= SEGMENT_ITERATIONS:
+        return 1
+    # The fewest tiles reaching the size whose I extent moves the
+    # stream by whole lines.
+    step = line_bytes // gcd(ti * kern.elem_bytes, line_bytes)
+    tiles = -(-SEGMENT_ITERATIONS // tile_iters)
+    return -(-tiles // step) * step
 
 
-def _cum(hier: CacheHierarchy) -> tuple[int, ...]:
-    """Cumulative counters as one flat tuple (exact integers).
+class _Segment:
+    """One segment's iteration arrays, keyed by its first iteration."""
 
-    ``hier.stats()`` flushes the in-flight engine first, so the counts
-    cover every access fed so far.
+    def __init__(self, i, j, k):
+        self.ijk = (i, j, k)
+        self.size = i.size
+        self.origin = (int(i[0]), int(j[0]), int(k[0]))
+        self._rel: tuple | None = None
+        self._matched: dict[int, bool] = {}
+        #: A stored pattern equal to this segment's, once one is found.
+        self.pattern: tuple | None = None
+
+    @property
+    def rel(self) -> tuple:
+        """The iteration arrays less the first iteration."""
+        if self._rel is None:
+            self._rel = tuple(a - o for a, o in zip(self.ijk, self.origin))
+        return self._rel
+
+    def matches(self, pattern: tuple) -> bool:
+        """Whether this segment's shape is ``pattern`` (compared once
+        per pattern object)."""
+        hit = self._matched.get(id(pattern))
+        if hit is None:
+            hit = all(np.array_equal(a, b) for a, b in zip(self.rel, pattern))
+            self._matched[id(pattern)] = hit
+            if hit:
+                self.pattern = pattern
+        return hit
+
+    def stored_pattern(self) -> tuple:
+        """A pattern to keep with this segment's template: an equal one
+        already stored, else this segment's own, narrowed."""
+        if self.pattern is None:
+            span = max(int(np.abs(a).max()) for a in self.rel)
+            dtype = np.int16 if span < (1 << 15) else np.int32
+            self.pattern = tuple(a.astype(dtype) for a in self.rel)
+        return self.pattern
+
+
+@dataclass(frozen=True, slots=True)
+class _Template:
+    """A simulated segment: where it started, its shape, and its
+    first-touch template at every level."""
+
+    origin: tuple[int, int, int]
+    pattern: tuple
+    levels: list
+    size: int       #: iterations
+
+
+class _SegmentFilter:
+    """The segments of one eligible point, less the template-costed.
+
+    :meth:`segments` is the iteration stream fed through
+    ``trace_chunks`` into the point's single ``CacheHierarchy.run``.
+    When it resumes after yielding a segment, that segment has been fed
+    to the engine; it flushes the engine and keeps the segment's
+    template. Before yielding the next one it tries the candidates'
+    templates and, on a match, costs the segment instead.
     """
-    st = hier.stats()
-    out = [x for _, lvl in st.levels for x in (lvl.accesses, lvl.misses)]
-    return (*out, st.reads, st.writes)
 
-
-def _scaled_sum(deltas: list[tuple[int, ...]], cycles: int,
-                partial: int) -> tuple[int, ...]:
-    """``cycles`` full cycles of ``deltas`` plus its first ``partial``."""
-    return tuple(cycles * sum(col) + sum(col[:partial])
-                 for col in zip(*deltas))
-
-
-class _PlaneFilter:
-    """The iteration planes of one eligible point, less the extrapolated.
-
-    :meth:`planes` is the iteration stream fed through ``trace_chunks``
-    into the point's single ``CacheHierarchy.run``. Whenever it resumes
-    after yielding a plane, that plane has been fed to the engine, so
-    :func:`_cum` reads the counters after exactly that plane; between
-    planes it snapshots the tags, tests shift-equivalence, and commits
-    skipped planes by advancing the counters and shifting the tags.
-    """
-
-    def __init__(self, hier: CacheHierarchy, d_lines: list[int]):
+    def __init__(self, hier: CacheHierarchy, specs, refs, tiled: bool):
         self.hier = hier
-        #: Lines one K step shifts each level's stream by.
-        self.d_lines = d_lines
+        self.levels = hier.levels
+        self.lines = [p.line_bytes for p in hier.params]
+        #: (element, row, plane) strides of every array, in bytes.
+        self.strides = {(s.elem_bytes, s.di * s.elem_bytes,
+                         s.plane * s.elem_bytes) for s in specs.values()}
+        self.reads_per_iter, self.writes_per_iter = count_refs(refs)
+        self.recent: deque = deque(maxlen=CANDIDATE_DEPTH)
+        # Earlier tiles at the same I sit whole tile rows (dJ) back,
+        # which no single distance describes when the arrays' row
+        # strides differ (RESID's padded U): keep no such candidates.
+        self.by_start: dict[int, deque] | None = (
+            None if tiled and len({row for _, row, _ in self.strides}) > 1
+            else {})
         self.simulated = 0
         self.skipped = 0
-        self.period: int | None = None
-        self.reason: str | None = None
+        self.refs_skipped = 0
 
     def report(self) -> ExtrapolationReport:
         fired = self.skipped > 0
         return ExtrapolationReport(
-            fired=fired, planes_simulated=self.simulated,
-            planes_skipped=self.skipped,
-            period=self.period if fired else None, reason=self.reason)
+            fired=fired, segments_simulated=self.simulated,
+            segments_skipped=self.skipped, refs_skipped=self.refs_skipped,
+            reason=None if fired else "no_steady_state")
 
-    def _snapshot(self) -> list[np.ndarray]:
-        return [lvl.tags_snapshot() for lvl in self.hier.levels]
+    # ------------------------------------------------------------------
+    def _candidates(self, start: int):
+        seen = set()
+        same_start = () if self.by_start is None else \
+            reversed(self.by_start.get(start, ()))
+        for tpl in chain(reversed(self.recent), same_start):
+            if id(tpl) not in seen:
+                seen.add(id(tpl))
+                yield tpl
 
-    def _shift_period(self, tag_hist, sig_hist, max_p: int) -> int:
-        """The smallest proven steady-state period, or 0."""
-        # Outer levels first: their tags settle last, so they reject
-        # a non-steady state soonest.
-        levels = list(zip(self.hier.levels, self.d_lines))[::-1]
-        for p in range(1, max_p + 1):
-            # The signature must repeat too (same iteration pattern one
-            # period back), else a tag coincidence between structurally
-            # different planes could arm a cycle whose very first skip
-            # check then fails.
-            if len(sig_hist) <= p or not _sig_equal(sig_hist[-1],
-                                                    sig_hist[-1 - p]):
+    def _remember(self, start: int, tpl: _Template) -> None:
+        self.recent.append(tpl)
+        if self.by_start is not None:
+            self.by_start.setdefault(
+                start, deque(maxlen=CANDIDATE_DEPTH)).append(tpl)
+
+    def _shift(self, tpl: _Template, seg: _Segment) -> int | None:
+        """The byte distance moving every array from ``tpl`` onto
+        ``seg``, when there is one and it is whole lines everywhere."""
+        di, dj, dk = (a - b for a, b in zip(seg.origin, tpl.origin))
+        ds = {di * eb + dj * row + dk * plane
+              for eb, row, plane in self.strides}
+        if len(ds) != 1:
+            return None
+        d = ds.pop()
+        if any(d % line for line in self.lines):
+            return None
+        return d
+
+    def _first_touches(self, tpl: _Template, d: int) -> list | None:
+        """Per level, the sets ``tpl``'s segment shifted by ``d`` bytes
+        touches and its first-touch misses there; ``None`` where a level
+        above the last misses differently from the template, so the
+        next level's input would differ."""
+        out = []
+        last = len(self.levels) - 1
+        for idx, (lvl, t, line) in enumerate(zip(self.levels, tpl.levels,
+                                                 self.lines)):
+            sets, first_miss = lvl.shifted_first_touch(t, d // line)
+            if idx < last and not np.array_equal(first_miss, t.first_miss):
+                return None
+            out.append((sets, first_miss))
+        return out
+
+    def _cost(self, seg: _Segment) -> bool:
+        """Cost ``seg`` from the first candidate template that proves
+        it; False when none does."""
+        for tpl in self._candidates(seg.origin[0]):
+            if tpl.size != seg.size:
                 continue
-            base = tag_hist[-1 - p][::-1]
-            if all(lvl.tags_equal_shifted(b, p * d)
-                   for (lvl, d), b in zip(levels, base)):
-                return p
-        return 0
+            d = self._shift(tpl, seg)
+            if d is None or not seg.matches(tpl.pattern):
+                continue
+            touched = self._first_touches(tpl, d)
+            if touched is None:
+                continue
+            deltas = []
+            for lvl, t, line, (sets, first_miss) in zip(
+                    self.levels, tpl.levels, self.lines, touched):
+                lvl.commit_shifted(t, d // line, sets)
+                deltas.append((t.accesses,
+                               t.internal + int(np.count_nonzero(first_miss))))
+            reads = seg.size * self.reads_per_iter
+            writes = seg.size * self.writes_per_iter
+            self.hier.advance_stats(deltas, reads=reads, writes=writes)
+            self._remember(seg.origin[0], tpl)
+            self.skipped += 1
+            self.refs_skipped += reads + writes
+            return True
+        return False
 
-    def _commit(self, deltas: list[tuple[int, ...]], planes: int) -> None:
-        """Account ``planes`` skipped planes of the cycle ``deltas`` and
-        fast-forward the tags by as many plane shifts."""
-        if not planes:
-            return
+    def segments(self, chunks):
+        """Yield the ``(I, J, K)`` segments that must be simulated."""
         hier = self.hier
-        totals = _scaled_sum(deltas, planes // len(deltas),
-                             planes % len(deltas))
-        nlev = len(hier.levels)
-        hier.advance_stats(
-            [(totals[2 * i], totals[2 * i + 1]) for i in range(nlev)],
-            reads=totals[2 * nlev], writes=totals[2 * nlev + 1])
-        for lvl, d in zip(hier.levels, self.d_lines):
-            lvl.apply_tag_shift(planes * d)
-        self.skipped += planes
-
-    def planes(self, chunks):
-        """Yield the ``(I, J, K)`` chunks that must be simulated."""
-        hier = self.hier
-        # Detection history, valid within one K-continuous run of planes.
-        tag_hist: deque = deque(maxlen=QMAX + 1)   # state after each plane
-        delta_hist: deque = deque(maxlen=QMAX)     # per-plane counter deltas
-        sig_hist: deque = deque(maxlen=QMAX + 1)   # per-plane (I, J) arrays
-
-        def restart() -> None:
-            tag_hist.clear()
-            delta_hist.clear()
-            sig_hist.clear()
-            tag_hist.append(self._snapshot())
-
-        restart()
-        prev_cum = _cum(hier)
-        prev_k: int | None = None
-        # The proven cycle's (signatures, deltas) while skipping.
-        cycle: tuple[list, list] | None = None
-        run = 0
-        next_k = 0
-
-        chunks = iter(chunks)
         for i, j, k in chunks:
             if i.size == 0:
                 continue
-            kval = int(k[0])
-            plane_like = bool((k == kval).all())
-            sig = (i, j)
-
-            if cycle is not None:
-                sigs, deltas = cycle
-                if (plane_like and kval == next_k
-                        and _sig_equal(sig, sigs[run % len(sigs)])):
-                    run += 1
-                    next_k += 1
-                    continue
-                # The stream stopped repeating (red-black color
-                # boundary, end-of-pass wrap, ...): commit what was
-                # proven, restore the exact state by shifting, and
-                # resume simulation. Nothing was fed since the last
-                # plane's flush, so the levels hold the exact state.
-                self._commit(deltas, run)
-                cycle = None
-                run = 0
-                restart()
-                prev_cum = _cum(hier)
-                prev_k = None
-
-            if not plane_like:
-                # Not a plane-periodic stream after all: simulate this
-                # chunk and everything behind it, detection off for good.
-                self.reason = "not_plane_periodic"
-                yield i, j, k
-                yield from chunks
-                return
-
-            if prev_k is not None and kval != prev_k + 1:
-                # K discontinuity: earlier snapshots no longer sit one
-                # plane-shift apart, so detection restarts here.
-                restart()
-
+            seg = _Segment(i, j, k)
+            if self._cost(seg):
+                continue
+            for lvl in self.levels:
+                lvl.record_template()
             yield i, j, k
+            hier.flush()
+            self._remember(seg.origin[0], _Template(
+                seg.origin, seg.stored_pattern(),
+                [lvl.take_template() for lvl in self.levels], seg.size))
             self.simulated += 1
-            cum = _cum(hier)
-            delta_hist.append(tuple(a - b for a, b in zip(cum, prev_cum)))
-            prev_cum = cum
-            tag_hist.append(self._snapshot())
-            sig_hist.append(sig)
-            prev_k = kval
-
-            p = self._shift_period(tag_hist, sig_hist,
-                                   min(QMAX, len(delta_hist)))
-            if p:
-                cycle = (list(sig_hist)[-p:], list(delta_hist)[-p:])
-                self.period = p
-                next_k = kval + 1
-
-        if cycle is not None:
-            # Ran off the end of the trace while extrapolating: commit.
-            self._commit(cycle[1], run)
-        elif self.reason is None:
-            # The final segment was simulated to the end without
-            # reaching (or after falling out of) steady state.
-            self.reason = "no_steady_state"
 
 
 def simulate_extrapolated(kern, sel, schedule, hier: CacheHierarchy, *,
                           inter_pad: int | None = None,
                           on_chunk=None
                           ) -> tuple[HierarchyStats, ExtrapolationReport]:
-    """Simulate a point, extrapolating steady-state planes exactly.
+    """Simulate a point, costing template-proven segments exactly.
 
     Drop-in equal to ``hier.run(kern.trace(...))`` — the returned
-    :class:`HierarchyStats` is **bit-for-bit identical** whether
-    extrapolation fires, partially fires, or never does (the
-    differential tests in ``tests/test_extrapolate.py`` hold it to
-    that) — but skips the simulation of planes whose statistics are
-    already determined by shift-equivalence. Either way the point is
-    one ``hier.run`` call. ``on_chunk`` keeps its
+    :class:`HierarchyStats` is **bit-for-bit identical** however many
+    segments were costed from templates (the differential tests in
+    ``tests/test_extrapolate.py`` hold it to that). Either way the
+    point is one ``hier.run`` call. ``on_chunk`` keeps its
     ``CacheHierarchy.run`` meaning (budget deadlines, fault ticks) and
     only fires for chunks actually simulated.
     """
@@ -297,14 +337,16 @@ def simulate_extrapolated(kern, sel, schedule, hier: CacheHierarchy, *,
                                     structured=True),
                          on_chunk=on_chunk)
         return stats, ExtrapolationReport(
-            fired=False, planes_simulated=-1, planes_skipped=0,
-            period=None, reason=reason)
+            fired=False, segments_simulated=0, segments_skipped=0,
+            refs_skipped=0, reason=reason)
 
-    spec0 = next(iter(specs.values()))
-    plane_bytes = spec0.plane * spec0.elem_bytes
-    planes = _PlaneFilter(hier, [plane_bytes // p.line_bytes
-                                 for p in hier.params])
-    stats = hier.run(trace_chunks(planes.planes(kern.iter_chunks(schedule)),
-                                  kern.refs(specs), structured=True),
-                     on_chunk=on_chunk)
-    return stats, planes.report()
+    refs = kern.refs(specs)
+    group = _tiles_per_segment(kern, sel, schedule,
+                               max(p.line_bytes for p in hier.params))
+    seg_filter = _SegmentFilter(hier, specs, refs, sel.tiled)
+    stats = hier.run(
+        trace_chunks(seg_filter.segments(
+            kern.schedule_chunks(sel, schedule, group)), refs,
+            structured=True),
+        on_chunk=on_chunk)
+    return stats, seg_filter.report()

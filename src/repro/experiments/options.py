@@ -50,7 +50,7 @@ class SweepOptions:
                         are reused across processes and across runs
     ==================  ====================================================
 
-    Every exact point runs the steady-state K-plane extrapolation
+    Every exact point runs the segment-template acceleration
     (:mod:`repro.experiments.extrapolate`) over trace chunks of the
     generator's one bound; neither is an option, since neither changes
     a statistic.

@@ -8,9 +8,9 @@ Pipeline per point:
 3. exact reference trace of the selected schedule, streamed in bounded
    address chunks (:data:`~repro.trace.generator.DEFAULT_CHUNK_ADDRESSES`)
    so peak memory is O(chunk), not O(trace);
-4. two-level direct-mapped simulation (write-around), with steady-state
-   K planes costed in closed form wherever that is provably exact
-   (:mod:`repro.experiments.extrapolate`);
+4. two-level direct-mapped simulation (write-around), with trace
+   segments (K planes, tile columns) costed from first-touch templates
+   wherever that is provably exact (:mod:`repro.experiments.extrapolate`);
 5. analytic performance prediction from the miss counts.
 
 Every point runs through one entry point::
@@ -123,10 +123,10 @@ class PointResult:
     #: True when the point came from the analytical miss model (budget
     #: exceeded / retries exhausted) rather than exact trace simulation.
     degraded: bool = False
-    #: True when steady-state K-plane extrapolation skipped at least
-    #: one plane (:mod:`repro.experiments.extrapolate`; the statistics
-    #: are still exact). False for points simulated in full, whatever
-    #: the reason (tiled, classified, no steady state, ...).
+    #: True when at least one trace segment was costed from a
+    #: first-touch template (:mod:`repro.experiments.extrapolate`; the
+    #: statistics are still exact). False for points simulated in full,
+    #: whatever the reason (classified, mixed strides, no match, ...).
     extrapolated: bool = False
 
     @property
@@ -187,11 +187,12 @@ def _simulate_exact(kernel_name: str, strategy: str, n: int,
     """One exact trace simulation, optionally under a budget's deadline.
 
     The point runs through
-    :func:`~repro.experiments.extrapolate.simulate_extrapolated`: planes
-    proven shift-equivalent are costed in closed form instead of
-    simulated, and every point the proof does not cover (tiled, a
-    non-direct-mapped level, mixed plane strides, classified) is
-    simulated in full; the statistics are identical either way.
+    :func:`~repro.experiments.extrapolate.simulate_extrapolated`:
+    segments (K planes, tile columns) that a first-touch template of an
+    earlier segment proves are costed from it instead of simulated, and
+    every point the proof does not cover (a non-direct-mapped level,
+    mixed plane strides in an untiled sweep, classified) is simulated
+    in full; the statistics are identical either way.
 
     While a metrics registry is live (``--metrics``) the levels carry
     shadow miss classifiers, and classification takes precedence: the
@@ -229,17 +230,19 @@ def _simulate_exact(kernel_name: str, strategy: str, n: int,
             on_chunk=on_chunk)
         sp["extrapolated"] = xrep.fired
         events.emit("extrapolate", kernel=kernel_name, strategy=strategy,
-                    n=n, fired=xrep.fired, period=xrep.period,
-                    planes_simulated=xrep.planes_simulated,
-                    planes_skipped=xrep.planes_skipped, reason=xrep.reason)
+                    n=n, fired=xrep.fired,
+                    segments_simulated=xrep.segments_simulated,
+                    segments_skipped=xrep.segments_skipped,
+                    refs_skipped=xrep.refs_skipped,
+                    refs=stats.demand_refs, reason=xrep.reason)
         sp["refs"] = stats.demand_refs
     if metrics.enabled():
         metrics.inc("repro.cache.extrapolation",
                     outcome="fired" if xrep.fired else "fallback",
                     reason=xrep.reason or "none")
-        if xrep.planes_skipped:
-            metrics.inc("repro.cache.extrapolation_planes_skipped",
-                        xrep.planes_skipped)
+        if xrep.refs_skipped:
+            metrics.inc("repro.cache.extrapolation_refs_skipped",
+                        xrep.refs_skipped)
         _record_sim_metrics(hier, stats, time.perf_counter() - t0)
 
     l1_rate = stats.global_miss_rate(0, include_writes=cfg.include_writes)

@@ -116,8 +116,10 @@ class StencilKernel(abc.ABC):
     @abc.abstractmethod
     def iter_chunks(self, schedule: Schedule,
                     ti: int | None = None, tj: int | None = None,
-                    tk: int | None = None) -> Iterator:
-        """Iteration chunks for a schedule (see trace.enumerators)."""
+                    tk: int | None = None,
+                    group: int | None = None) -> Iterator:
+        """Iteration chunks for a schedule (see trace.enumerators);
+        ``group`` fixes the tiles per chunk of a tiled schedule."""
 
     def trace(self, selection: SelectionResult,
               schedule: Schedule | None = None,
@@ -143,16 +145,22 @@ class StencilKernel(abc.ABC):
             schedule = Schedule.TILED if selection.tiled else Schedule.UNTILED
         specs = self.specs(selection.di_p, selection.dj_p,
                            inter_pad_cache=inter_pad_cache)
+        return trace_chunks(self.schedule_chunks(selection, schedule),
+                            self.refs(specs), max_addresses=chunk_size,
+                            structured=structured)
+
+    def schedule_chunks(self, selection: SelectionResult,
+                        schedule: Schedule,
+                        group: int | None = None) -> Iterator:
+        """Iteration chunks of ``schedule`` with ``selection``'s tile
+        (see :meth:`iter_chunks`)."""
         tile = selection.tile
         ti = tile.ti if tile else None
         tj = tile.tj if tile else None
         tk = None
         if schedule is Schedule.TILED_3LOOP and selection.array_tile:
             tk = selection.array_tile.tk
-        chunks = self.iter_chunks(schedule, ti=ti, tj=tj, tk=tk)
-        return trace_chunks(chunks, self.refs(specs),
-                            max_addresses=chunk_size,
-                            structured=structured)
+        return self.iter_chunks(schedule, ti=ti, tj=tj, tk=tk, group=group)
 
     # ------------------------------------------------------------------
     # accounting

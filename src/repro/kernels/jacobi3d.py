@@ -33,14 +33,15 @@ class Jacobi3D(StencilKernel):
         reads = [Ref(b, *o) for o in JACOBI_3D.offsets]
         return reads + [Ref(a, 0, 0, 0, is_write=True)]
 
-    def iter_chunks(self, schedule: Schedule, ti=None, tj=None, tk=None
-                    ) -> Iterator:
+    def iter_chunks(self, schedule: Schedule, ti=None, tj=None, tk=None,
+                    group=None) -> Iterator:
         if schedule is Schedule.UNTILED:
             return en.untiled_3d(self.n, self.nk)
         if schedule is Schedule.TILED:
-            return en.tiled_3d(self.n, ti, tj, self.nk)
+            return en.tiled_3d(self.n, ti, tj, self.nk, group)
         if schedule is Schedule.TILED_3LOOP:
-            return en.tiled_3loop(self.n, ti, tj, tk or self.meta.atd, self.nk)
+            return en.tiled_3loop(self.n, ti, tj, tk or self.meta.atd,
+                                  self.nk, group)
         raise ConfigurationError(f"JACOBI has no schedule {schedule}")
 
     # ------------------------------------------------------------------

@@ -54,15 +54,15 @@ class Psinv(StencilKernel):
         reads.append(Ref(u, 0, 0, 0))  # the += read
         return reads + [Ref(u, 0, 0, 0, is_write=True)]
 
-    def iter_chunks(self, schedule: Schedule, ti=None, tj=None, tk=None
-                    ) -> Iterator:
+    def iter_chunks(self, schedule: Schedule, ti=None, tj=None, tk=None,
+                    group=None) -> Iterator:
         if schedule is Schedule.UNTILED:
             return en.untiled_3d(self.n, self.nk)
         if schedule is Schedule.TILED:
-            return en.tiled_3d(self.n, ti, tj, self.nk)
+            return en.tiled_3d(self.n, ti, tj, self.nk, group)
         if schedule is Schedule.TILED_3LOOP:
             return en.tiled_3loop(self.n, ti, tj, tk or self.meta.atd,
-                                  self.nk)
+                                  self.nk, group)
         raise ConfigurationError(f"PSINV has no schedule {schedule}")
 
     # ------------------------------------------------------------------

@@ -65,14 +65,14 @@ class RedBlack3D(StencilKernel):
         reads = [Ref(a, 0, 0, 0)] + [Ref(a, *o) for o in _NEIGHBOR_OFFSETS]
         return reads + [Ref(a, 0, 0, 0, is_write=True)]
 
-    def iter_chunks(self, schedule: Schedule, ti=None, tj=None, tk=None
-                    ) -> Iterator:
+    def iter_chunks(self, schedule: Schedule, ti=None, tj=None, tk=None,
+                    group=None) -> Iterator:
         if schedule is Schedule.UNTILED:
             return en.redblack_naive(self.n, self.nk)
         if schedule is Schedule.FUSED:
             return en.redblack_fused(self.n, self.nk)
         if schedule is Schedule.TILED:
-            return en.redblack_tiled(self.n, ti, tj, self.nk)
+            return en.redblack_tiled(self.n, ti, tj, self.nk, group)
         raise ConfigurationError(f"REDBLACK has no schedule {schedule}")
 
     # ------------------------------------------------------------------

@@ -237,12 +237,15 @@ _WORKER_SPEC: dict | None = None
 _FINALIZED = False
 
 
-def init_worker(spec: dict | None) -> None:
+def init_worker(spec: dict | None, collect_metrics: bool = False) -> None:
     """Install worker-local observability from a :func:`worker_spec`.
 
     With ``spec=None`` this is exactly ``obs.reset_in_child()`` — the
     inherited bus/registry are replaced by disabled ones (and any
-    inherited sink atexit hooks disarmed). With a spec, the worker gets
+    inherited sink atexit hooks disarmed) — except that
+    ``collect_metrics`` installs a fresh registry: a supervisor that
+    collects metrics without a shard directory gets the worker's
+    snapshot back over the result pipe. With a spec, the worker gets
     its own bus over the shard file, parented and prefixed under the
     supervisor's point span, plus a fresh registry when the supervisor
     collects metrics.
@@ -255,7 +258,8 @@ def init_worker(spec: dict | None) -> None:
     _WORKER_SPEC, _FINALIZED = spec, False
     if spec is None:
         events._BUS = EventBus()
-        metrics._REGISTRY = None
+        metrics._REGISTRY = (metrics.MetricsRegistry()
+                             if collect_metrics else None)
         return
     ctx = RunContext(run_id=spec["run_id"], trace_id=spec["trace_id"],
                      node=f"w{os.getpid()}")

@@ -51,7 +51,9 @@ name                                   type        labels
                                                    counting|argsort
 ``repro.cache.extrapolation``          counter     ``outcome`` in fired|
                                                    fallback; ``reason``
-``repro.cache.extrapolation_planes_skipped``  counter  —
+``repro.cache.extrapolation_refs_skipped``  counter  — (demand references
+                                                   costed from segment
+                                                   templates)
 =====================================  ==========  =========================
 
 Per-level ``cold + conflict + capacity`` miss counts sum exactly to

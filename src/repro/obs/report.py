@@ -103,10 +103,14 @@ class RunSummary:
     #: ``repro.integrity.*`` counters from the metrics snapshot).
     integrity_quarantined: int = 0
     crc_failures: int = 0
-    #: K-plane extrapolation (``extrapolate`` events).
+    #: Segment-template acceleration (``extrapolate`` events): points
+    #: that costed a segment from a template, points simulated in full,
+    #: and the demand references costed from templates out of all the
+    #: references of those points.
     extrapolation_fired: int = 0
     extrapolation_fallback: int = 0
-    extrapolation_planes_skipped: int = 0
+    extrapolation_refs_skipped: int = 0
+    extrapolation_refs: int = 0
     #: ``CacheHierarchy.run`` calls, from the metrics snapshot.
     engine_runs: int = 0
     #: per-level engine coverage: level name -> {mode: runs}, from the
@@ -188,10 +192,10 @@ def summarize(events: list[dict], metrics: dict | None = None,
         elif kind == "extrapolate":
             if ev.get("fired"):
                 s.extrapolation_fired += 1
-                s.extrapolation_planes_skipped += int(
-                    ev.get("planes_skipped", 0))
             else:
                 s.extrapolation_fallback += 1
+            s.extrapolation_refs_skipped += int(ev.get("refs_skipped", 0))
+            s.extrapolation_refs += int(ev.get("refs", 0))
         elif kind == "worker_exit":
             s.worker_attempts += 1
         elif kind == "point_retry":
@@ -283,10 +287,13 @@ def format_report(s: RunSummary) -> str:
             for lvl, by in sorted(s.engine_levels.items()))
         parts.append(f"engine support: {per}")
     if s.extrapolation_fired or s.extrapolation_fallback:
+        share = (s.extrapolation_refs_skipped / s.extrapolation_refs
+                 if s.extrapolation_refs else 0.0)
         parts.append(
-            f"extrapolation: {s.extrapolation_fired} points fired "
-            f"({s.extrapolation_planes_skipped} planes skipped), "
-            f"{s.extrapolation_fallback} fell back to full simulation")
+            f"extrapolation: {s.extrapolation_fired} points fired, "
+            f"{s.extrapolation_fallback} fell back to full simulation; "
+            f"{share:.1%} of references costed from templates "
+            f"({s.extrapolation_refs_skipped} of {s.extrapolation_refs})")
 
     if s.slowest:
         rows = [[k, st, n, f"{dur:.3f}", refs]

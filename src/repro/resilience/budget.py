@@ -41,9 +41,9 @@ class PointBudget:
     Frozen (hashable), like the policies that carry it. ``None``
     disables the corresponding bound; the default budget is unbounded
     with two retries. ``max_refs`` counts references *simulated*, not
-    the point's trace length: planes the steady-state extrapolation
-    skips cost nothing, so an extrapolated point can stay exact under a
-    bound its full trace would exceed.
+    the point's trace length: segments costed from first-touch
+    templates cost nothing, so an extrapolated point can stay exact
+    under a bound its full trace would exceed.
     """
 
     wall_seconds: float | None = None

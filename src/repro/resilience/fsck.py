@@ -40,12 +40,12 @@ class FsckFinding:
     """One record's verdict: where, what state, and why."""
 
     where: str          # "line 7" / entry path relative to the store root
-    status: str         # ok | legacy | damaged | repaired | orphan
+    status: str         # ok | legacy | damaged | repaired | orphan | adopted
     detail: str = ""
 
     @property
     def bad(self) -> bool:
-        return self.status in ("damaged", "repaired", "orphan")
+        return self.status in ("damaged", "repaired", "orphan", "adopted")
 
 
 @dataclass
@@ -166,6 +166,13 @@ def fsck_journal(path: str | pathlib.Path, *,
             elif not verify_crc(obj):
                 report.fatal = "header checksum mismatch"
                 report.add(where, "damaged", report.fatal)
+            elif obj.get("adopted_from") is not None:
+                # Every open refuses it; a repair keeps the mark, so
+                # this stays a finding before and after --repair.
+                report.add(where, "adopted",
+                           f"header adopted from configuration "
+                           f"{obj['adopted_from']!r}; the journal cannot "
+                           f"be resumed")
             else:
                 report.add(where, "ok", "header")
             continue

@@ -141,7 +141,7 @@ class TaskOutcome:
 # ----------------------------------------------------------------------
 
 def _worker_main(conn, fn, args, fault, heartbeat_seconds,
-                 obs_spec=None) -> None:
+                 obs_spec=None, piped_metrics=False) -> None:
     """Child-process entry: run ``fn(args)``, stream heartbeats + result.
 
     The pipe is the only channel back; sends are serialized by a lock
@@ -149,14 +149,18 @@ def _worker_main(conn, fn, args, fault, heartbeat_seconds,
     observability state (a forked parent's live event bus / metrics
     registry) is replaced first: with an ``obs_spec`` the worker traces
     into its own shard (parented under the supervisor's task span),
-    without one it goes silent — either way the supervisor stays the
-    single writer of the run's own artifacts. The shard is flushed
+    without one its events go silent — either way the supervisor stays
+    the single writer of the run's own artifacts. The shard is flushed
     *before* the terminal pipe message, so the supervisor never merges
-    a shard that is still being written.
+    a shard that is still being written. ``piped_metrics`` (no shard,
+    but the supervisor collects metrics) gives the worker a registry of
+    its own, whose snapshot rides on the terminal message: a worker
+    collects, and so computes, exactly what the serial path would.
     """
     from repro.obs import context as obs_context
+    from repro.obs import metrics
 
-    obs_context.init_worker(obs_spec)
+    obs_context.init_worker(obs_spec, collect_metrics=piped_metrics)
     faults.reset_in_child()
     send_lock = threading.Lock()
     beating = threading.Event()
@@ -176,6 +180,10 @@ def _worker_main(conn, fn, args, fault, heartbeat_seconds,
                 return
             time.sleep(heartbeat_seconds)
 
+    def _snapshot() -> dict | None:
+        reg = metrics.registry() if piped_metrics else None
+        return reg.snapshot() if reg is not None else None
+
     threading.Thread(target=_beat, daemon=True).start()
     try:
         if fault is not None and fault.action in ("kill", "hang"):
@@ -185,11 +193,11 @@ def _worker_main(conn, fn, args, fault, heartbeat_seconds,
             payload = faults.corrupt_payload(payload)
         beating.clear()
         obs_context.finalize_worker()
-        _send(("ok", payload))
+        _send(("ok", payload, _snapshot()))
     except BaseException as exc:
         beating.clear()
         obs_context.finalize_worker()
-        _send(("err", type(exc).__name__, str(exc)))
+        _send(("err", type(exc).__name__, str(exc), _snapshot()))
     finally:
         try:
             conn.close()
@@ -264,9 +272,12 @@ def run_supervised(fn: Callable[[Any], dict],
     When the active run context has a shard directory, every launch
     carries a :func:`repro.obs.context.worker_spec` so the worker's own
     spans land in a shard parented under the task span; shards are
-    merged back into the run trace after the pool finishes. ``observer``
-    (a :class:`~repro.obs.status.StatusPublisher`) receives a
-    ``pool_tick(running, pending)`` per supervision cycle.
+    merged back into the run trace after the pool finishes. Without
+    one, a live metrics registry still reaches the workers: each
+    collects into its own and pipes the snapshot back with its result,
+    so a pooled point classifies (and is costed) as a serial one would.
+    ``observer`` (a :class:`~repro.obs.status.StatusPublisher`)
+    receives a ``pool_tick(running, pending)`` per supervision cycle.
     """
     # Lazy import: obs depends on resilience.atomic, so the reverse
     # edge must not exist at module import time.
@@ -328,7 +339,8 @@ def run_supervised(fn: Callable[[Any], dict],
         recv, send = ctx.Pipe(duplex=False)
         proc = ctx.Process(
             target=_worker_main,
-            args=(send, fn, p.args, fault, policy.heartbeat_seconds, spec),
+            args=(send, fn, p.args, fault, policy.heartbeat_seconds, spec,
+                  spec is None and metrics.enabled()),
             daemon=True)
         proc.start()
         send.close()  # child's end only; EOF on our side when it dies
@@ -397,16 +409,22 @@ def run_supervised(fn: Callable[[Any], dict],
         """Consume buffered messages; the first terminal one wins.
 
         Returns ``("ok", payload)`` / ``("err", reason)`` / ``"eof"``
-        (pipe closed without a result) / ``None`` (only heartbeats).
+        (pipe closed without a result) / ``None`` (only heartbeats). A
+        terminal message's piped metrics snapshot is folded into the
+        live registry here, like a shard's after the pool.
         """
         try:
             while r.conn.poll():
                 msg = r.conn.recv()
                 if msg[0] == "hb":
                     r.last_beat = time.monotonic()
-                elif msg[0] == "ok":
+                    continue
+                reg = metrics.registry()
+                if msg[-1] is not None and reg is not None:
+                    reg.merge(msg[-1])
+                if msg[0] == "ok":
                     return ("ok", msg[1])
-                elif msg[0] == "err":
+                if msg[0] == "err":
                     return ("err", f"worker raised {msg[1]}: {msg[2]}")
         except (EOFError, OSError):
             return "eof"

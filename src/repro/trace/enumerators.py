@@ -10,7 +10,10 @@ they stay large enough to amortize numpy call overhead. An untiled
 sweep yields one K-plane per chunk. A tiled one yields consecutive
 tiles of one tile row together, built in one vectorized step, while
 the batch stays within :data:`TILE_BATCH_ITERATIONS`; a tile at or
-above that size is one chunk by itself. Small tiles (Euc3D's 1x1
+above that size is one chunk by itself. A ``group`` argument fixes the
+tiles per chunk instead: the exact acceleration
+(:mod:`repro.experiments.extrapolate`) asks for one trace segment per
+chunk that way, still built in one vectorized step. Small tiles (Euc3D's 1x1
 fallback holds NK - 2 iterations) would otherwise cost every consumer
 one chunk's fixed overhead per tile. Natural boundaries alone do
 **not** bound memory — a large tile spans every K plane and an untiled
@@ -99,19 +102,20 @@ def _tile_ranges(n: int, start: int, t: int) -> Iterator[tuple[int, int]]:
         yield lo, min(lo + t - 1, n - 1)
 
 
-def _tile_row(n: int, ti: int, ks: np.ndarray, js: np.ndarray
-              ) -> Iterator[Chunk]:
+def _tile_row(n: int, ti: int, ks: np.ndarray, js: np.ndarray,
+              group: int | None = None) -> Iterator[Chunk]:
     """One row of ``ti``-wide tiles (II loop; K, J, I inner), batched.
 
     Every tile adds its I offset to one full-width (K, J, I) template;
     an edge tile drops the I values past ``n - 1``. Consecutive tiles
-    are yielded together up to :data:`TILE_BATCH_ITERATIONS`.
+    are yielded together, ``group`` at a time or else up to
+    :data:`TILE_BATCH_ITERATIONS` iterations.
     """
     ti = min(ti, n - 2)                 # no template wider than the row
     k, j, i = (a.ravel() for a in np.meshgrid(
         ks, js, np.arange(ti, dtype=np.int64), indexing="ij"))
     ilos = np.arange(2, n, ti, dtype=np.int64)
-    per = max(1, TILE_BATCH_ITERATIONS // i.size)
+    per = group or max(1, TILE_BATCH_ITERATIONS // i.size)
     for s in range(0, ilos.size, per):
         lo = ilos[s:s + per]
         ib = (lo[:, None] + i).ravel()
@@ -122,11 +126,13 @@ def _tile_row(n: int, ti: int, ks: np.ndarray, js: np.ndarray
         yield ib, jb, kb
 
 
-def tiled_3d(n: int, ti: int, tj: int, nk: int | None = None) -> Iterator[Chunk]:
+def tiled_3d(n: int, ti: int, tj: int, nk: int | None = None,
+             group: int | None = None) -> Iterator[Chunk]:
     """Figure 6 order: JJ, II outer; K, J, I inner.
 
-    Tiles of one JJ row are batched into chunks of up to
-    :data:`TILE_BATCH_ITERATIONS` iterations (see :func:`_tile_row`).
+    Tiles of one JJ row are batched into chunks of ``group`` tiles or
+    of up to :data:`TILE_BATCH_ITERATIONS` iterations (see
+    :func:`_tile_row`).
     """
     nk = n if nk is None else nk
     if n < 3 or nk < 3:
@@ -136,12 +142,14 @@ def tiled_3d(n: int, ti: int, tj: int, nk: int | None = None) -> Iterator[Chunk]
     ks = np.arange(2, nk, dtype=np.int64)
     for jlo, jhi in _tile_ranges(n, 2, tj):
         js = np.arange(jlo, jhi + 1, dtype=np.int64)
-        yield from _tile_row(n, ti, ks, js)
+        yield from _tile_row(n, ti, ks, js, group)
 
 
 def tiled_3loop(n: int, ti: int, tj: int, tk: int,
-                nk: int | None = None) -> Iterator[Chunk]:
-    """Wolf-Lam-style 3-loop tiling: KK, JJ, II outer; K, J, I inner."""
+                nk: int | None = None,
+                group: int | None = None) -> Iterator[Chunk]:
+    """Wolf-Lam-style 3-loop tiling: KK, JJ, II outer; K, J, I inner
+    (tiles batched as in :func:`tiled_3d`)."""
     nk = n if nk is None else nk
     if ti < 1 or tj < 1 or tk < 1:
         raise TraceError(f"tile sizes must be positive: ({ti}, {tj}, {tk})")
@@ -149,7 +157,7 @@ def tiled_3loop(n: int, ti: int, tj: int, tk: int,
         ks = np.arange(klo, khi + 1, dtype=np.int64)
         for jlo, jhi in _tile_ranges(n, 2, tj):
             js = np.arange(jlo, jhi + 1, dtype=np.int64)
-            yield from _tile_row(n, ti, ks, js)
+            yield from _tile_row(n, ti, ks, js, group)
 
 
 # ----------------------------------------------------------------------
@@ -210,8 +218,8 @@ def redblack_fused(n: int, nk: int | None = None) -> Iterator[Chunk]:
             yield i, j, np.full(i.size, k, dtype=np.int64)
 
 
-def redblack_tiled(n: int, ti: int, tj: int,
-                   nk: int | None = None) -> Iterator[Chunk]:
+def redblack_tiled(n: int, ti: int, tj: int, nk: int | None = None,
+                   group: int | None = None) -> Iterator[Chunk]:
     """Figure 12 bottom: tiled fused red-black.
 
     Tile loops start at 1 (``do JJ=1,N-1,TJ``); within a (JJ, II) tile
@@ -223,10 +231,11 @@ def redblack_tiled(n: int, ti: int, tj: int,
 
     A tile's iterations are stride-2 I rows, one per (KK, d, J) in
     execution order. The rows of consecutive tiles of one JJ row are
-    expanded together by :func:`_parity_rows` and yielded as one chunk
-    while an upper bound on the batch's iterations stays within
-    :data:`TILE_BATCH_ITERATIONS`; a tile whose bound reaches it is
-    yielded alone, and empty tiles yield nothing.
+    expanded together by :func:`_parity_rows` and yielded as one chunk,
+    ``group`` tiles at a time or else while an upper bound on the
+    batch's iterations stays within :data:`TILE_BATCH_ITERATIONS`; a
+    tile whose bound reaches it is yielded alone, and empty batches
+    yield nothing.
     """
     nk = n if nk is None else nk
     if n < 3 or nk < 3:
@@ -246,7 +255,8 @@ def redblack_tiled(n: int, ti: int, tj: int,
         sizes = np.where(ds == 1, js[1].size, js[0].size)
         rkk, rd = np.repeat(kks, sizes), np.repeat(ds, sizes)
         rk, par = rkk + rd, rkk + rj + 1
-        per = max(1, TILE_BATCH_ITERATIONS // (rj.size * ((ti + 1) // 2)))
+        per = group or max(1, TILE_BATCH_ITERATIONS
+                           // (rj.size * ((ti + 1) // 2)))
         for s in range(0, iis.size, per):
             base = iis[s:s + per, None] + rd        # IStart = II + d
             start = base + (par + base) % 2

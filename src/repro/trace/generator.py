@@ -4,8 +4,9 @@ For each iteration the kernel issues its references in program order;
 for a chunk of ``n`` iterations and ``R`` references the interleaved
 trace is the row-major flattening of an ``(n, R)`` address matrix — all
 vectorized, no Python-level per-iteration work. A :class:`TraceChunk`
-keeps that matrix's read and write columns as two contiguous matrices,
-so a write-around cache stack takes the reads without a copy.
+keeps that matrix's read columns as one contiguous matrix, so a
+write-around cache stack takes the reads without a copy, and builds
+the write columns only when a write-allocate caller asks for them.
 
 Memory is bounded: incoming iteration chunks are re-sliced through
 :func:`repro.trace.enumerators.bounded_chunks` so no yielded address
@@ -21,7 +22,8 @@ differential tests in ``tests/test_perf_chunking.py`` prove it).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from functools import partial
+from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
@@ -74,22 +76,24 @@ def count_refs(refs: list[Ref]) -> tuple[int, int]:
 
 @dataclass(frozen=True)
 class TraceChunk:
-    """One program-ordered trace chunk, its reads and writes apart.
+    """One program-ordered trace chunk, its reads built and its writes
+    counted.
 
     Row ``r`` of :attr:`read_matrix` holds iteration ``r``'s read
-    references and row ``r`` of :attr:`write_matrix` its write
-    references, each in program order; ``wmask_row`` places every
-    reference in the iteration's interleaved order. A write-around
-    hierarchy consumes :attr:`read_addresses`, a zero-copy view of the
-    contiguous read matrix, so no per-address mask or column copy is
-    ever built. The interleaved stream (:attr:`addresses`) is
-    assembled on demand for write-allocate callers. ``len(chunk)`` is
-    its address count.
+    references in program order; ``wmask_row`` places every reference
+    in the iteration's interleaved order. A write-around hierarchy
+    consumes :attr:`read_addresses`, a zero-copy view of the contiguous
+    read matrix, and only counts the writes (:attr:`writes`), so no
+    write address is ever built for it. The interleaved stream
+    (:attr:`addresses`), write addresses included, is assembled on
+    demand for write-allocate callers. ``len(chunk)`` is its address
+    count.
     """
 
     read_matrix: np.ndarray   #: ``(n_iters, n_reads)`` int64 byte addresses
-    write_matrix: np.ndarray  #: ``(n_iters, n_writes)`` int64 byte addresses
     wmask_row: np.ndarray     #: ``(n_refs,)`` per-reference write flags
+    #: Builds the ``(n_iters, n_writes)`` write matrix on demand.
+    write_matrix: Callable[[], np.ndarray]
 
     @property
     def n_iters(self) -> int:
@@ -98,7 +102,7 @@ class TraceChunk:
     @property
     def n_addresses(self) -> int:
         """Addresses in this chunk, reads and writes."""
-        return self.read_matrix.size + self.write_matrix.size
+        return self.n_iters * self.wmask_row.size
 
     def __len__(self) -> int:
         return self.n_addresses
@@ -111,7 +115,7 @@ class TraceChunk:
     @property
     def writes(self) -> int:
         """Write accesses in this chunk."""
-        return self.write_matrix.size
+        return self.n_addresses - self.read_matrix.size
 
     @property
     def read_addresses(self) -> np.ndarray:
@@ -121,17 +125,16 @@ class TraceChunk:
     @property
     def addresses(self) -> np.ndarray:
         """The flat interleaved address stream (built on demand)."""
-        if not self.write_matrix.shape[1]:
+        if not self.writes:
             return self.read_addresses
         matrix = np.empty((self.n_iters, self.wmask_row.size),
                           dtype=np.int64)
         matrix[:, ~self.wmask_row] = self.read_matrix
-        matrix[:, self.wmask_row] = self.write_matrix
+        matrix[:, self.wmask_row] = self.write_matrix()
         return matrix.reshape(-1)
 
 
-def _refs_by_spec(refs: list[Ref],
-                  split: bool) -> list[tuple[ArraySpec, list]]:
+def _refs_by_spec(refs: list[Ref]) -> list[tuple[ArraySpec, list]]:
     """Group references by array, precomputing per-ref byte offsets.
 
     A reference's address is linear in the iteration coordinates:
@@ -139,22 +142,17 @@ def _refs_by_spec(refs: list[Ref],
     + const`` with ``const = ((oi-1) + (oj-1)*di + (ok-1)*plane) * eb``
     folded at build time (exact int64 algebra — every reference of one
     array then costs a single vector add off a shared base column).
-    Each reference becomes ``(side, col, const)``, naming the matrix
-    and column it fills: with ``split``, reads fill matrix 0 and writes
-    matrix 1, as in :class:`TraceChunk`; without, every reference fills
-    its program position of one interleaved matrix.
+    Each reference becomes ``(col, const)``: it fills column ``col``,
+    its position in ``refs``, of the matrix :func:`_fill` builds.
     """
     groups: dict[int, tuple[ArraySpec, list]] = {}
-    cols = [0, 0]   # next column of each matrix
-    for ref in refs:
+    for col, ref in enumerate(refs):
         spec = ref.array
         const = ((ref.oi - 1)
                  + (ref.oj - 1) * spec.di
                  + (ref.ok - 1) * spec.plane) * spec.elem_bytes
-        side = int(split and ref.is_write)
         groups.setdefault(id(spec), (spec, []))[1].append(
-            (side, cols[side], np.int64(const)))
-        cols[side] += 1
+            (col, np.int64(const)))
     return list(groups.values())
 
 
@@ -166,12 +164,12 @@ _FILL_BLOCK_ELEMENTS = 1 << 17
 
 
 def _fill(i: np.ndarray, j: np.ndarray, k: np.ndarray, groups,
-          widths: tuple[int, ...]) -> tuple[np.ndarray, ...]:
-    """One iteration chunk's address matrices, ``widths`` columns each
-    (see :func:`_refs_by_spec`)."""
+          width: int) -> np.ndarray:
+    """One iteration chunk's ``(n, width)`` address matrix (see
+    :func:`_refs_by_spec`)."""
     n = i.size
-    mats = tuple(np.empty((n, w), dtype=np.int64) for w in widths)
-    blk = max(1, _FILL_BLOCK_ELEMENTS // sum(widths))
+    mat = np.empty((n, width), dtype=np.int64)
+    blk = max(1, _FILL_BLOCK_ELEMENTS // max(1, width))
     for s in range(0, n, blk):
         e = min(n, s + blk)
         ib, jb, kb = i[s:e], j[s:e], k[s:e]
@@ -180,9 +178,9 @@ def _fill(i: np.ndarray, j: np.ndarray, k: np.ndarray, groups,
             # pre-folded into its byte constant (see _refs_by_spec).
             base = spec.addr_array(ib, jb, kb)
             base *= spec.elem_bytes
-            for side, col, const in cols:
-                np.add(base, const, out=mats[side][s:e, col])
-    return mats
+            for col, const in cols:
+                np.add(base, const, out=mat[s:e, col])
+    return mat
 
 
 def trace_chunks(iter_chunks, refs: list[Ref],
@@ -214,9 +212,12 @@ def trace_chunks(iter_chunks, refs: list[Ref],
             f"max_addresses must be >= 0, got {max_addresses}")
     nrefs = len(refs)
     wmask_row = np.array([r.is_write for r in refs], dtype=bool)
-    nw = int(np.count_nonzero(wmask_row))
-    widths = (nrefs - nw, nw) if structured else (nrefs,)
-    groups = _refs_by_spec(refs, split=structured)
+    if structured:
+        reads = [r for r in refs if not r.is_write]
+        writes = [r for r in refs if r.is_write]
+        rgroups, wgroups = _refs_by_spec(reads), _refs_by_spec(writes)
+    else:
+        groups = _refs_by_spec(refs)
 
     if max_addresses is None:
         max_addresses = DEFAULT_CHUNK_ADDRESSES
@@ -231,7 +232,10 @@ def trace_chunks(iter_chunks, refs: list[Ref],
             continue
         metrics.inc("repro.trace.chunks")
         metrics.inc("repro.trace.addresses", i.size * nrefs)
-        mats = _fill(i, j, k, groups, widths)
-        yield (TraceChunk(*mats, wmask_row) if structured
-               else (mats[0].reshape(-1), np.tile(wmask_row, i.size)))
-        del mats
+        if structured:
+            yield TraceChunk(
+                _fill(i, j, k, rgroups, len(reads)), wmask_row,
+                partial(_fill, i, j, k, wgroups, len(writes)))
+        else:
+            yield (_fill(i, j, k, groups, nrefs).reshape(-1),
+                   np.tile(wmask_row, i.size))

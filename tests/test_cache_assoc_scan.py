@@ -220,8 +220,11 @@ class TestGroupedContract:
         lines = addrs // p.line_bytes
         sets = grouped.set_index(lines.copy())
         order = np.argsort(sets, kind="stable")
-        bp = np.r_[0, np.cumsum(np.bincount(sets, minlength=p.num_sets))]
-        miss_sorted, n_miss = grouped.access_grouped(lines[order], bp)
+        counts = np.bincount(sets, minlength=p.num_sets)
+        occ = np.flatnonzero(counts)
+        bounds = np.r_[0, np.cumsum(counts[occ])]
+        miss_sorted, n_miss = grouped.access_grouped(lines[order], occ,
+                                                     bounds)
         miss = np.empty(addrs.size, dtype=bool)
         miss[order] = miss_sorted
         assert np.array_equal(miss, expect)

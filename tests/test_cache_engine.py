@@ -234,18 +234,23 @@ def test_partition_strategies_give_identical_stats(geometry):
 
 def test_partition_permutation_identical_to_stable_argsort():
     rng = np.random.default_rng(7)
-    # 2**15 keys is the int16-narrowing boundary (max key 32767).
+    # 2**15 keys is the int16-narrowing boundary (max key 32767). Window
+    # sizes below, near and above the key count reach every way the
+    # occupied keys and bounds are derived.
     for num_keys in (512, 1 << 15):
-        keys = rng.integers(0, num_keys, size=50_000)
-        expect_order = np.argsort(keys, kind="stable")
-        expect_bp = np.r_[0, np.cumsum(np.bincount(keys,
-                                                   minlength=num_keys))]
-        for strategy in ("counting", "argsort"):
-            with metrics.collect() as reg:
-                order, bp = partition(keys, num_keys, strategy)
-            assert_partitioned_with(reg, strategy)
-            np.testing.assert_array_equal(order, expect_order)
-            np.testing.assert_array_equal(bp, expect_bp)
+        for size in (200, 2_000, 50_000):
+            keys = rng.integers(0, num_keys, size=size)
+            expect_order = np.argsort(keys, kind="stable")
+            counts = np.bincount(keys, minlength=num_keys)
+            expect_occ = np.flatnonzero(counts)
+            expect_bounds = np.r_[0, np.cumsum(counts[expect_occ])]
+            for strategy in ("counting", "argsort"):
+                with metrics.collect() as reg:
+                    order, occ, bounds = partition(keys, num_keys, strategy)
+                assert_partitioned_with(reg, strategy)
+                np.testing.assert_array_equal(order, expect_order)
+                np.testing.assert_array_equal(occ, expect_occ)
+                np.testing.assert_array_equal(bounds, expect_bounds)
 
 
 def test_partition_rejects_unknown_strategy():
@@ -255,9 +260,10 @@ def test_partition_rejects_unknown_strategy():
 
 def test_partition_empty_input():
     for strategy in ("counting", "argsort"):
-        order, bp = partition(np.empty(0, dtype=np.int64), 8, strategy)
-        assert order.size == 0
-        np.testing.assert_array_equal(bp, np.zeros(9, dtype=np.int64))
+        order, occ, bounds = partition(np.empty(0, dtype=np.int64), 8,
+                                       strategy)
+        assert order.size == 0 and occ.size == 0
+        np.testing.assert_array_equal(bounds, np.zeros(1, dtype=np.int64))
 
 
 def test_chunk_split_invariance():

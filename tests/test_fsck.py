@@ -92,11 +92,18 @@ class TestFsckJournal:
         mark_adopted(path, "other-fp")
         with pytest.raises(CheckpointError, match="adopted from"):
             CheckpointJournal.open(path, "other-fp")
+        # fsck reports the mark as a finding, before and after repair.
+        report = fsck_journal(path)
+        assert not report.ok
+        assert [f.status for f in report.findings if f.bad] == ["adopted"]
         flip_payload(path, 2)
         assert main(["fsck", str(path), "--repair"]) == 1
         assert json.loads(path.read_text().splitlines()[0])[
             "adopted_from"] == FP
-        assert fsck_journal(path).ok
+        report = fsck_journal(path)
+        assert not report.ok
+        assert [f.status for f in report.findings if f.bad] == ["adopted"]
+        assert main(["fsck", str(path)]) == 1
         with pytest.raises(CheckpointError, match="adopted from"):
             CheckpointJournal.open(path, "other-fp")
 

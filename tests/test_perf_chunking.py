@@ -106,17 +106,21 @@ class TestPointDifferential:
     def test_simulated_point_independent_of_chunk_size(self, tiny_config,
                                                        monkeypatch):
         # The bound is the generator's, read at call time (0 =
-        # unbounded). A tiled point is simulated in full and an untiled
-        # one extrapolates, so both trace paths are re-chunked.
+        # unbounded). RESID GcdPadNT's mixed plane strides keep it on
+        # full simulation, while a tiled and an untiled point are cut
+        # into template-costed segments, so both trace paths are
+        # re-chunked.
         bound = "repro.trace.generator.DEFAULT_CHUNK_ADDRESSES"
-        for strategy, n, extrapolated in (("GcdPad", 40, False),
-                                          ("Orig", 48, True)):
+        for kernel, strategy, n, extrapolated in (
+                ("RESID", "GcdPadNT", 32, False),
+                ("JACOBI", "GcdPad", 40, True),
+                ("JACOBI", "Orig", 48, True)):
             monkeypatch.setattr(bound, 0)
-            mono = run_point("JACOBI", strategy, n, tiny_config)
+            mono = run_point(kernel, strategy, n, tiny_config)
             assert mono.extrapolated is extrapolated
             for chunk_size in (256, 4096, 10**7):
                 monkeypatch.setattr(bound, chunk_size)
-                assert run_point("JACOBI", strategy, n,
+                assert run_point(kernel, strategy, n,
                                  tiny_config) == mono, chunk_size
         # The patch reaches the generator: its chunks obey the new bound.
         monkeypatch.setattr(bound, 256)

@@ -287,8 +287,12 @@ class TestSerialParallelBookkeeping:
                 for line in (root / "j.jsonl").read_text().splitlines()]
         payloads = {tuple(r["key"]): r["payload"] for r in recs
                     if r["kind"] == "point"}
+        sim = {(c["name"], tuple(sorted(c["labels"].items()))): c["value"]
+               for c in reg.snapshot()["counters"]
+               if c["name"].startswith("repro.sim.")}
         s = summarize(sink.records)
-        return res, payloads, modes, (s.points, s.journal_hits, s.degraded)
+        return (res, payloads, modes,
+                (s.points, s.journal_hits, s.degraded), sim)
 
     def test_serial_and_parallel_books_agree(self, seeded, tmp_path,
                                              tiny_config):
@@ -300,6 +304,10 @@ class TestSerialParallelBookkeeping:
         assert par[2] == serial[2]
         assert serial[3] == (6, 2, 0)
         assert par[3] == serial[3]
+        # Without a run directory the workers pipe their registries
+        # back: the two computed points' simulation and 3C counters
+        # reach the supervisor's registry as in the serial run.
+        assert serial[4] and par[4] == serial[4]
 
 
 class TestCheckPayloadRegressions:
@@ -423,9 +431,11 @@ class TestValidationAndFallbacks:
         assert res == sweep("JACOBI", STRATS, [40], tiny_config)
 
     def test_serial_point_timeout_acts_as_wall_budget(self, tiny_config):
+        # RESID GcdPadNT's mixed plane strides keep it on full
+        # simulation, so its second plane is a second simulated chunk.
         clock = faults.FakeClock()
         inj = faults.FaultInjector(clock=clock).advance_on("chunk", 2, 1e6)
         with faults.inject(inj):
-            res = sweep("JACOBI", ["Orig"], [40], tiny_config,
+            res = sweep("RESID", ["GcdPadNT"], [32], tiny_config,
                         options=SweepOptions(parallel=1, point_timeout=30.0))
-        assert res["Orig"][0].degraded
+        assert res["GcdPadNT"][0].degraded

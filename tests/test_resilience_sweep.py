@@ -136,14 +136,16 @@ class TestResumeAfterCrash:
 
 class TestBudgetDegradation:
     def test_timeout_mid_simulation_degrades(self, tiny_config):
+        # RESID GcdPadNT's mixed plane strides keep it on full
+        # simulation, so its second plane is a second simulated chunk.
         clock = faults.FakeClock()
         inj = faults.FaultInjector(clock=clock).advance_on("chunk", 2, 1e6)
         with faults.inject(inj):
-            r = run_point("JACOBI", "Orig", 40, tiny_config,
+            r = run_point("RESID", "GcdPadNT", 32, tiny_config,
                           policy=PointPolicy(
                               budget=PointBudget(wall_seconds=30)))
         assert r.degraded
-        assert r == analytic("JACOBI", "Orig", 40, tiny_config)
+        assert r == analytic("RESID", "GcdPadNT", 32, tiny_config)
 
     def test_trace_length_budget_degrades_deterministically(self,
                                                             tiny_config):
@@ -160,23 +162,25 @@ class TestBudgetDegradation:
 
     def test_budget_sweep_mixes_exact_and_degraded(self, tmp_path,
                                                    tiny_config):
-        # A trace-length bound between the two problem sizes: N=40
-        # points simulate exactly; the tiled N=64 point degrades to the
-        # model. max_refs counts references *simulated*, and Orig N=64
-        # (~161k refs) extrapolates after a few planes, so it stays
-        # exact under the same bound.
-        res = sweep("JACOBI", STRATS, [40, 64], tiny_config,
+        # A trace-length bound between the two problem sizes: N=24
+        # points simulate exactly; GcdPadNT N=48, which its mixed plane
+        # strides keep on full simulation, degrades to the model.
+        # max_refs counts references *simulated*, and Orig N=48 (~368k
+        # refs) is costed from templates after a plane or two, so it
+        # stays exact under the same bound.
+        res = sweep("RESID", ["Orig", "GcdPadNT"], [24, 48], tiny_config,
                     options=SweepOptions(
                         checkpoint=tmp_path / "b.jsonl",
-                        budget=PointBudget(max_refs=100_000)))
+                        budget=PointBudget(max_refs=200_000)))
         pts = {(p.strategy, p.n): p for p in flat(res)}
-        # N=40 traces (~61k refs) fit in the budget; a full N=64 trace
-        # (~161k) does not.
-        assert pts[("Orig", 40)].degraded is False
-        assert pts[("GcdPad", 64)].degraded is True
-        orig = pts[("Orig", 64)]
+        # N=24 traces (~84k refs) fit in the budget; a full N=48 trace
+        # (~368k) does not.
+        assert pts[("Orig", 24)].degraded is False
+        assert pts[("GcdPadNT", 24)].degraded is False
+        assert pts[("GcdPadNT", 48)].degraded is True
+        orig = pts[("Orig", 48)]
         assert orig.degraded is False and orig.extrapolated is True
-        assert orig.refs > 100_000
+        assert orig.refs > 200_000
 
     def test_degraded_point_is_journaled_and_resumed(self, tmp_path,
                                                      tiny_config):
@@ -234,10 +238,12 @@ class TestTable3Checkpoint:
     def test_format_notes_degraded_points(self, tiny_config):
         from repro.experiments.table3 import format_table3
 
-        res = table3(kernels=("JACOBI",), strategies=("GcdPad",),
-                     sizes=[40, 64], cfg=tiny_config,
+        # GcdPadNT N=48 is simulated in full (mixed plane strides), so
+        # its ~368k references overrun the bound.
+        res = table3(kernels=("RESID",), strategies=("GcdPadNT",),
+                     sizes=[24, 48], cfg=tiny_config,
                      options=SweepOptions(
-                         budget=PointBudget(max_refs=50_000)))
+                         budget=PointBudget(max_refs=200_000)))
         txt = format_table3(res)
         assert "degraded" in txt and "analytic" in txt
 

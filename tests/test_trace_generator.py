@@ -105,3 +105,26 @@ class TestTraceChunk:
         assert np.array_equal(mid.read_addresses,
                               flat.addresses.reshape(-1, 3)[:, [0, 2]]
                               .reshape(-1))
+
+    def test_write_around_run_builds_no_write_address(self):
+        # A write-around hierarchy only counts writes; the write matrix
+        # is built for write-allocate callers alone.
+        from dataclasses import replace
+
+        from repro.cache.hierarchy import CacheHierarchy, WritePolicy
+        from repro.cache.params import CacheParams
+
+        def unbuilt():
+            raise AssertionError("write addresses built")
+
+        specs = allocate([("A", 6, 6, 6)])
+        refs = [Ref(specs["A"], d, 0, 0, is_write=d == 1)
+                for d in (-1, 0, 1)]
+        chunks = [replace(c, write_matrix=unbuilt) for c in
+                  trace_chunks(untiled_3d(6, 6), refs, structured=True)]
+        levels = [CacheParams(256, 32, 1, "L1")]
+        stats = CacheHierarchy(levels).run(iter(chunks))
+        assert stats.writes == sum(c.n_iters for c in chunks)
+        with pytest.raises(AssertionError, match="write addresses built"):
+            CacheHierarchy(levels, WritePolicy.WRITE_ALLOCATE).run(
+                iter(chunks))
