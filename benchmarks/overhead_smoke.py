@@ -4,28 +4,40 @@ Run as a script (CI does):
 
     PYTHONPATH=src python benchmarks/overhead_smoke.py
 
-Two assertions, both deliberately generous so the check is robust on
-loaded shared runners while still catching a real regression:
+Two assertions:
 
 1. **Micro**: the disabled fast path of ``events.emit`` /
    ``metrics.inc`` costs well under a microsecond per call on any
    modern machine; we assert < 10 us/call.
-2. **Macro**: one exact simulation with all instrumentation disabled
-   finishes within an absolute wall-clock budget
-   (``OVERHEAD_BUDGET_SECONDS``, default 60 — the uninstrumented seed
-   ran the same point in well under 10s, so a hooks-gone-hot
-   regression anywhere near the <5% overhead contract trips this).
+2. **Macro**: one point simulated in full (RESID GcdPadNT, N = 200,
+   whose mixed plane strides keep it off the segment templates) runs
+   with the real disabled hooks and with ``metrics.inc``,
+   ``metrics.observe``, ``events.emit`` and ``events.span`` replaced by
+   bare no-ops, in :data:`PAIRS` back-to-back pairs (alternating which
+   runs first). The median pair's hooked / bare ratio of process CPU
+   time may be at most :data:`MAX_RATIO`. Both runs do the same
+   simulation, so the ratio is the hooks' cost alone, whatever the
+   machine's speed; CPU time leaves out the time the process waits
+   for a busy host's cores, and pairing and the median leave out
+   slow stretches of the host.
 
 Exits non-zero with a message on failure.
 """
 
 from __future__ import annotations
 
-import os
+import contextlib
+import statistics
 import sys
+import time
 
 from repro.obs import events, metrics
-from repro.perf.timing import Stopwatch, best_of
+from repro.perf.timing import Stopwatch
+
+#: Hooked / bare pairs the macro check times (the median ratio counts).
+PAIRS = 21
+#: Largest hooked / bare CPU-time ratio the macro check accepts.
+MAX_RATIO = 1.15
 
 
 def micro() -> float:
@@ -40,23 +52,82 @@ def micro() -> float:
     return per_call
 
 
-def macro() -> None:
+def _bare(*args, **kwargs) -> None:
+    return None
+
+
+def _bare_span(*args, **kwargs) -> contextlib.nullcontext:
+    return contextlib.nullcontext({})
+
+
+#: The hooks the macro check replaces, and their bare stand-ins.
+_STUBS = ((metrics, "inc", _bare), (metrics, "observe", _bare),
+          (events, "emit", _bare), (events, "span", _bare_span))
+
+
+def _cpu_seconds(fn) -> float:
+    """Process CPU seconds of one ``fn()``."""
+    t0 = time.process_time()
+    fn()
+    return time.process_time() - t0
+
+
+def _bare_hooks(fn) -> float:
+    """CPU seconds of one ``fn()`` with every hook in :data:`_STUBS`
+    bare."""
+    real = [(mod, name, getattr(mod, name)) for mod, name, _ in _STUBS]
+    for mod, name, stub in _STUBS:
+        setattr(mod, name, stub)
+    try:
+        return _cpu_seconds(fn)
+    finally:
+        for mod, name, fn_ in real:
+            setattr(mod, name, fn_)
+
+
+def macro() -> float:
     from repro.experiments.config import ExperimentConfig
     from repro.experiments.runner import run_point
 
-    budget = float(os.environ.get("OVERHEAD_BUDGET_SECONDS", "60"))
+    assert not metrics.enabled(), "a metrics registry is live"
     cfg = ExperimentConfig()
 
     def one_run() -> None:
-        run_point("JACOBI", "GcdPad", 64, cfg)
+        p = run_point("RESID", "GcdPadNT", 200, cfg)
+        assert not p.extrapolated, "the point must be simulated in full"
 
-    one_run()  # warm imports and lru caches off the clock
-    instrumented_off = best_of(one_run, 3)
-    print(f"macro: instrumented-off exact point took "
-          f"{instrumented_off:.2f}s (budget {budget:.0f}s)")
-    assert instrumented_off < budget, (
-        f"instrumented-off runtime {instrumented_off:.1f}s exceeds "
-        f"budget {budget:.0f}s")
+    # Warm imports and caches off the clock, counting the hook calls.
+    calls = 0
+    real_inc = metrics.inc
+
+    def counting_inc(*args, **kwargs):
+        nonlocal calls
+        calls += 1
+        real_inc(*args, **kwargs)
+
+    metrics.inc = counting_inc
+    try:
+        one_run()
+    finally:
+        metrics.inc = real_inc
+    assert calls, "the point makes no hook calls"
+    ratios, hooked = [], []
+    for i in range(PAIRS):
+        if i % 2:
+            bare = _bare_hooks(one_run)
+            hooked.append(_cpu_seconds(one_run))
+        else:
+            hooked.append(_cpu_seconds(one_run))
+            bare = _bare_hooks(one_run)
+        ratios.append(hooked[-1] / bare)
+    ratio = statistics.median(ratios)
+    print(f"macro: full-simulation point ({calls} metrics.inc calls), "
+          f"{statistics.median(hooked):.3f} CPU s with disabled hooks; "
+          f"hooked / bare no-ops over {PAIRS} pairs: median {ratio:.3f} "
+          f"(range {min(ratios):.3f}-{max(ratios):.3f}, limit {MAX_RATIO})")
+    assert ratio <= MAX_RATIO, (
+        f"disabled hooks cost {ratio:.2f}x a bare run (limit {MAX_RATIO})")
+    return ratio
 
 
 def main() -> int:

@@ -11,9 +11,13 @@ WolfLam3 schedule: the point simulated through
 the full simulation of its trace bit for bit. N = 250 and 310 are
 2 mod 4 (a plane is whole L1 lines but not whole L2 lines), N = 256 is
 Euc3D's 1x1-tile fallback for every kernel, and RESID's and PSINV's
-GcdPadNT have mixed plane strides. The config clamps NK to the smoke
-resolution unless ``REPRO_FULL=1``, so the kernels are built at
-NK = 30 directly.
+GcdPadNT have mixed plane strides. The associativity lattice's default
+grid runs the same check on its 2- and 4-way L1s: JACOBI Orig, GcdPad
+and Pad with 32- and 64-byte lines at the paper's L1 capacity and L2,
+N in {218, 226} (at N = 226 templates cost only about 44% of Pad's
+references, so its simulated segments are checked too). The config
+clamps NK to the smoke resolution unless ``REPRO_FULL=1``, so the
+kernels are built at NK = 30 directly.
 """
 
 from __future__ import annotations
@@ -21,6 +25,7 @@ from __future__ import annotations
 import pytest
 
 from repro.cache.hierarchy import CacheHierarchy
+from repro.cache.params import CacheParams
 from repro.core.selector import select
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.extrapolate import simulate_extrapolated
@@ -38,18 +43,20 @@ def _stats(st):
             [(name, s.accesses, s.misses) for name, s in st.levels])
 
 
-def _differential(kernel, strategy, n):
-    """Check the point bit for bit against full simulation; return its
-    selection, schedule and report."""
+def _differential(kernel, strategy, n, levels=None):
+    """Check the point bit for bit against full simulation on
+    ``levels`` (the paper's caches by default); return its selection,
+    schedule and report."""
     cfg = ExperimentConfig()
+    levels = levels or cfg.levels
     kern = KERNELS[kernel](n, NK, elem_bytes=cfg.elem_bytes)
     meta = kern.meta
     sel = select(strategy, cfg.cs, n, n, mi=meta.mi, mj=meta.mj,
                  atd=meta.atd)
     schedule = _schedule_for(strategy, kernel, sel)
     stats, report = simulate_extrapolated(kern, sel, schedule,
-                                          CacheHierarchy(cfg.levels))
-    full = CacheHierarchy(cfg.levels).run(
+                                          CacheHierarchy(levels))
+    full = CacheHierarchy(levels).run(
         kern.trace(sel, schedule, structured=True))
     assert _stats(stats) == _stats(full)
     if len({s.di for s in kern.specs(sel.di_p, sel.dj_p).values()}) == 1:
@@ -71,3 +78,15 @@ def test_paper_density_wolf_lam_3loop_is_bit_identical(kernel, n):
     # 12-deep K tiles: NK - 2 = 28 ends every tile column on a short one.
     sel, schedule, _ = _differential(kernel, "WolfLam3", n)
     assert schedule is Schedule.TILED_3LOOP and sel.array_tile.tk == 12
+
+
+@pytest.mark.parametrize("n", (218, 226))
+@pytest.mark.parametrize("line", (32, 64))
+@pytest.mark.parametrize("ways", (2, 4))
+@pytest.mark.parametrize("strategy", ("Orig", "GcdPad", "Pad"))
+def test_lattice_associative_cell_is_bit_identical(strategy, ways, line, n):
+    # The lattice keeps the L1 capacity, so every cell runs the tiles
+    # selected for the paper's L1.
+    cfg = ExperimentConfig()
+    l1 = CacheParams(cfg.l1.size_bytes, line, ways, f"L1/{ways}w/{line}B")
+    _differential("JACOBI", strategy, n, [l1, cfg.l2])

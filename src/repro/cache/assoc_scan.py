@@ -65,6 +65,10 @@ set's segment):
 Bit-for-bit identity with :class:`SetAssociativeCache` (including
 chunk-split invariance and mid-stream ``invalidate()``) is enforced by
 the differential tests in ``tests/test_cache_assoc_scan.py``.
+
+The carried stacks, read MRU first, are what
+:class:`~repro.cache.base.CacheLevel` records and costs first-touch
+templates on; every window is handed to the segment recorder.
 """
 
 from __future__ import annotations
@@ -302,7 +306,18 @@ class AssocScanCache(CacheLevel):
         self._stack[occ[seg_of[keep]], A - 1 - rank_from_end[keep]] = \
             core[last_pos[keep]]
         self._depth[occ] = np.minimum(counts, A)
-        return miss_sorted, int(np.count_nonzero(miss_sorted))
+        nmiss = int(np.count_nonzero(miss_sorted))
+        if self._rec is not None:
+            self._rec.add(l_sorted, occ, bounds, miss_sorted, nmiss)
+        return miss_sorted, nmiss
+
+    def stacks(self, sets: np.ndarray) -> np.ndarray:
+        # Right-aligned LRU-first rows, read backwards.
+        return self._stack[sets][:, ::-1]
+
+    def set_stacks(self, sets: np.ndarray, rows: np.ndarray) -> None:
+        self._stack[sets] = rows[:, ::-1]
+        self._depth[sets] = np.count_nonzero(rows >= 0, axis=1)
 
     # ------------------------------------------------------------------
     def contains(self, byte_addr: int) -> bool:

@@ -20,70 +20,23 @@ an access depends only on the single line currently resident in its set,
 which is always the line of the previous access to that set.
 
 State is carried across chunks, so traces can be streamed. The same
-decomposition, kept per trace segment, is a :class:`FirstTouchTemplate`:
-the exact cost of any whole-line translate of that segment
-(:mod:`repro.experiments.extrapolate`).
+decomposition, kept per trace segment, is the A = 1 case of a
+:class:`~repro.cache.base.FirstTouchTemplate`: a set's first access
+hits by its prior tag alone. Costing a whole-line translate of a
+segment therefore needs no stack arithmetic here, and this class keeps
+that cost to one gather, compare and scatter per level
+(:meth:`DirectMappedCache.shifted_first_touch`).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from repro.cache.base import CacheLevel, CacheStats
+from repro.cache.base import CacheLevel, CacheStats, FirstTouchTemplate
 from repro.cache.params import CacheParams
 from repro.errors import CacheGeometryError
 
-__all__ = ["DirectMappedCache", "FirstTouchTemplate"]
-
-
-@dataclass(frozen=True, slots=True)
-class FirstTouchTemplate:
-    """One simulated trace segment's effect on a direct-mapped level.
-
-    A segment's misses at a direct-mapped level split in two. The first
-    touch of each set misses or hits by that set's tag beforehand alone;
-    every later access compares against the segment's own previous line
-    in its set, so those ``internal`` misses do not change when the
-    whole segment moves by a whole number of lines. Afterwards each
-    touched set holds the last line the segment put there. A segment
-    whose stream is this one's shifted by ``d`` lines therefore costs
-    ``internal`` plus its first-touch misses against the tags at
-    ``sets + d``, and leaves ``last + d`` behind
-    (:meth:`DirectMappedCache.shifted_first_touch`,
-    :meth:`DirectMappedCache.commit_shifted`).
-    """
-
-    sets: np.ndarray        #: touched sets
-    first: np.ndarray       #: each set's first line in the segment
-    first_miss: np.ndarray  #: whether that first touch missed
-    last: np.ndarray        #: each set's last line (its tag afterwards)
-    accesses: int           #: accesses the level saw in the segment
-    internal: int           #: misses that were not first touches
-
-
-class _Recording:
-    """The first touches of one segment, gathered window by window.
-
-    ``seen`` marks the sets an earlier window of the segment touched:
-    their first access in a later window is internal.
-    """
-
-    def __init__(self, num_sets: int):
-        self.seen = np.zeros(num_sets, dtype=bool)
-        self.parts: list[tuple[np.ndarray, ...]] = []
-        self.accesses = 0
-        self.misses = 0
-
-    def add(self, occ, first, first_miss, n: int, nmiss: int) -> None:
-        self.accesses += n
-        self.misses += nmiss
-        fresh = ~self.seen[occ]
-        if not fresh.all():
-            occ, first, first_miss = occ[fresh], first[fresh], first_miss[fresh]
-        self.seen[occ] = True
-        self.parts.append((occ, first, first_miss))
+__all__ = ["DirectMappedCache"]
 
 
 class DirectMappedCache(CacheLevel):
@@ -102,7 +55,6 @@ class DirectMappedCache(CacheLevel):
         super().__init__(params)
         # Resident line id per set; -1 = invalid (no byte address maps to it).
         self._tags = np.full(params.num_sets, -1, dtype=np.int64)
-        self._rec: _Recording | None = None
 
     def reset(self) -> None:
         """Empty the cache AND zero the statistics (a fresh simulator)."""
@@ -134,37 +86,18 @@ class DirectMappedCache(CacheLevel):
         self._tags[occ] = l_sorted[bounds[1:] - 1]
         nmiss = int(np.count_nonzero(miss_sorted))
         if self._rec is not None:
-            self._rec.add(occ, first, first_miss, n, nmiss)
+            self._rec.add(l_sorted, occ, bounds, miss_sorted, nmiss)
         return miss_sorted, nmiss
 
-    # ------------------------------------------------------------------
-    # first-touch templates (exact acceleration of shifted segments)
-    # ------------------------------------------------------------------
-    def record_template(self) -> None:
-        """Start recording the accesses that follow as one segment's
-        :class:`FirstTouchTemplate` (ended by :meth:`take_template`)."""
-        self._rec = _Recording(self.params.num_sets)
-
-    def take_template(self) -> FirstTouchTemplate:
-        """Stop recording; the template of everything since
-        :meth:`record_template`."""
-        rec, self._rec = self._rec, None
-        if rec.parts:
-            sets, first, first_miss = (np.concatenate(c)
-                                       for c in zip(*rec.parts))
-        else:
-            sets = first = np.empty(0, dtype=np.int64)
-            first_miss = np.empty(0, dtype=bool)
-        return FirstTouchTemplate(
-            sets.astype(self._set_dtype), first, first_miss,
-            self._tags[sets], rec.accesses,
-            rec.misses - int(np.count_nonzero(first_miss)))
+    def stacks(self, sets: np.ndarray) -> np.ndarray:
+        return self._tags[sets][:, None]
 
     def shifted_first_touch(self, tpl: FirstTouchTemplate, d_lines: int
                             ) -> tuple[np.ndarray, np.ndarray]:
-        """``(sets, first_miss)`` of ``tpl``'s segment shifted by
-        ``d_lines`` lines: the sets it touches and whether each first
-        touch misses against the current tags."""
+        """``(sets, first_miss)``: a first touch misses iff the tag at
+        its shifted set is not its shifted line (the A = 1 case of
+        :meth:`CacheLevel.shifted_first_touch`, without the stack
+        arithmetic)."""
         sets = tpl.sets + np.int64(d_lines)    # stored narrow; widen
         sets &= self._set_mask
         return sets, self._tags[sets] != tpl.first + d_lines

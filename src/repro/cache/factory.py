@@ -7,11 +7,13 @@ Every internal call site that needs a level simulator for a
 :func:`build_simulator`, so the geometry→implementation policy lives
 here and nowhere else. Every choice is a
 :class:`~repro.cache.base.CacheLevel` — ``set_index`` +
-``access_grouped``, the one contract the hierarchy engine drives:
+``access_grouped``, the one contract the hierarchy engine drives, plus
+the LRU stacks on which every level records and costs the first-touch
+templates of exact acceleration:
 
 * ``assoc == 1`` — :class:`~repro.cache.direct_mapped.DirectMappedCache`,
-  the partitioned segmented scan (fastest; also the only class that
-  records the first-touch templates exact acceleration needs);
+  the partitioned segmented scan (fastest; it costs templates with one
+  tag compare per set);
 * ``assoc == 2`` — :class:`~repro.cache.two_way.TwoWayCache`, the
   run-head-compression specialization (cheaper than the general scan
   for exactly two ways);

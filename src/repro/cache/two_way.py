@@ -19,6 +19,10 @@ virtually prepending two entries to each segment.
 (The same trick does not generalize to higher associativity: beyond two
 ways, the last A compressed entries can contain duplicates, so they no
 longer enumerate the cache contents.)
+
+The carried pairs are also the level's LRU stacks (MRU first), on which
+:class:`~repro.cache.base.CacheLevel` records and costs first-touch
+templates; every window is handed to the segment recorder.
 """
 
 from __future__ import annotations
@@ -40,11 +44,15 @@ class TwoWayCache(CacheLevel):
             raise CacheGeometryError(
                 f"TwoWayCache requires assoc=2, got {params.assoc}")
         super().__init__(params)
-        # Last two distinct lines per set: mru, lru; -1/-2 invalid
-        # sentinels (no byte address maps to negative lines, and the two
-        # sentinels must differ so they never look like a valid pair).
-        self._mru = np.full(params.num_sets, -1, dtype=np.int64)
-        self._lru = np.full(params.num_sets, -2, dtype=np.int64)
+        # Last two distinct lines per set, MRU first: the LRU stacks
+        # (CacheLevel.stacks) with column views for the scan. -1/-2 are
+        # the invalid sentinels (no byte address maps to negative
+        # lines, and the two must differ so they never look like a
+        # valid pair).
+        self._ways = np.empty((params.num_sets, 2), dtype=np.int64)
+        self._mru = self._ways[:, 0]
+        self._lru = self._ways[:, 1]
+        self.invalidate()
 
     def reset(self) -> None:
         """Empty the cache AND zero the statistics (a fresh simulator)."""
@@ -53,8 +61,7 @@ class TwoWayCache(CacheLevel):
 
     def invalidate(self) -> None:
         """Empty the cache but keep the statistics (mid-stream flush)."""
-        self._mru.fill(-1)
-        self._lru.fill(-2)
+        self._ways[:] = (-1, -2)
 
     # ------------------------------------------------------------------
     def access_grouped(self, l_sorted: np.ndarray, occ: np.ndarray,
@@ -74,6 +81,8 @@ class TwoWayCache(CacheLevel):
         self._mru[occ] = l_sorted[bounds[1:] - 1]
         head = np.flatnonzero(l_sorted != prev1)      # non-heads hit
         if head.size == 0:
+            if self._rec is not None:
+                self._rec.add(l_sorted, occ, bounds, miss, 0)
             return miss, 0
 
         x = l_sorted[head]                 # compressed sequence
@@ -94,7 +103,16 @@ class TwoWayCache(CacheLevel):
         last[:-1] = first[1:]
         last[-1] = True
         self._lru[hset[last]] = xm1[last]
-        return miss, int(np.count_nonzero(miss_heads))
+        nmiss = int(np.count_nonzero(miss_heads))
+        if self._rec is not None:
+            self._rec.add(l_sorted, occ, bounds, miss, nmiss)
+        return miss, nmiss
+
+    def stacks(self, sets: np.ndarray) -> np.ndarray:
+        return self._ways[sets]
+
+    def set_stacks(self, sets: np.ndarray, rows: np.ndarray) -> None:
+        self._ways[sets] = rows
 
     # ------------------------------------------------------------------
     def contains(self, byte_addr: int) -> bool:

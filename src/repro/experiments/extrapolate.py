@@ -7,12 +7,13 @@ grouped: a segment is then the smallest run of consecutive tiles of one
 row that reaches that size and moves by whole lines of the widest
 level.
 
-Every simulated segment leaves, at each direct-mapped level, a
-:class:`~repro.cache.direct_mapped.FirstTouchTemplate`: its internal
-misses (accesses that are not the first touch of their set in the
-segment), each touched set's first line and first-touch outcome, and
-the last line left in each set. A later segment is **costed from a
-template instead of generated and simulated** when
+Every simulated segment leaves, at each level, a
+:class:`~repro.cache.base.FirstTouchTemplate`: per touched set, the
+first min(m, A) distinct lines it touched there (m of them in all, A
+the level's ways) and whether each of those first touches missed, the
+last min(m, A) lines by recency, and the segment's internal misses
+(every other access's). A later segment is **costed from a template
+instead of generated and simulated** when
 
 * its iteration arrays equal the template's shifted by (dI, dJ, dK) —
   compared, not assumed — and
@@ -20,35 +21,40 @@ template instead of generated and simulated** when
   multiple of every level's line size (dI always gives one; dJ and dK
   only when all arrays share that stride).
 
-A whole-line translate leaves a segment's internal misses unchanged,
-and each first touch hits or misses by the set's prior tag alone. So if
-every level but the last reproduces the template's first-touch outcomes
-on the shifted sets, the next level's input is the template's translate
-too, and at every level the segment's misses are the template's
-internal misses plus its first-touch misses against the current tags;
-the touched sets then hold the template's last lines plus ``d``. That
-is one gather, compare and scatter per level over the segment's
-footprint sets: the fix-up step of time-partitioned trace-driven cache
-simulation (Heidelberger & Stone, "Parallel trace-driven cache
-simulation by time partitioning", WSC 1990), applied to translates.
+A whole-line translate leaves a segment's internal misses unchanged
+(by the LRU stack property, a later access's stack distance depends on
+the segment alone), and each first touch hits or misses by its set's
+prior LRU stack alone. So if every level but the last reproduces the
+template's first-touch outcomes on the shifted sets, the next level's
+input is the template's translate too, and at every level the
+segment's misses are the template's internal misses plus its
+first-touch misses against the current stacks; the touched sets then
+hold the template's last lines plus ``d`` on top of their untouched
+prior lines. That is one gather, compare and scatter per level over
+the segment's footprint sets (a direct-mapped level compares one tag
+per set; an A-way level compares A lines against A ways): the fix-up
+step of time-partitioned trace-driven cache simulation (Heidelberger &
+Stone, "Parallel trace-driven cache simulation by time partitioning",
+WSC 1990), applied to translates.
 
 A segment's candidates are the templates of the previous
 :data:`CANDIDATE_DEPTH` segments and of the previous
 :data:`CANDIDATE_DEPTH` segments that started at the same I (the same
 tile position in earlier tile rows; for an untiled sweep, the earlier
 planes of the same red-black colour). A costed segment passes its
-template on to its own successors. Simulated segments run through the
+template on to its own successors. Simulated segments are traced by
+``StencilKernel.trace`` like any point's iterations and run through the
 point's one ``CacheHierarchy.run``, with the engine flushed at each
-segment's boundary so its template covers exactly that segment.
+segment's boundary so its template covers exactly that segment. Past
+the first :data:`PROBE_SEGMENTS` simulated segments, a point none of
+whose segments has yet matched a candidate's shape at a whole-line
+shift keeps no template and flushes nothing until one does.
 
 Ineligible by construction, and simulated in full (checked in this
 order):
 
 * **classifiers** — 3C classification must observe every access
   (``reason="classifiers"``);
-* **non-direct-mapped levels** — only
-  :class:`~repro.cache.direct_mapped.DirectMappedCache` records
-  templates (``reason="level_not_direct_mapped"``);
 * **mixed plane strides in an untiled sweep** — its segments differ by
   K steps only, and when arrays have different padded plane sizes
   (RESID GcdPadNT) a K step moves each array by a different distance,
@@ -69,13 +75,12 @@ from math import gcd
 
 import numpy as np
 
-from repro.cache.direct_mapped import DirectMappedCache
 from repro.cache.hierarchy import CacheHierarchy, HierarchyStats
 from repro.kernels.base import Schedule
-from repro.trace.generator import count_refs, trace_chunks
+from repro.trace.generator import count_refs
 
-__all__ = ["CANDIDATE_DEPTH", "ExtrapolationReport", "SEGMENT_ITERATIONS",
-           "simulate_extrapolated"]
+__all__ = ["CANDIDATE_DEPTH", "ExtrapolationReport", "PROBE_SEGMENTS",
+           "SEGMENT_ITERATIONS", "simulate_extrapolated"]
 
 #: Iterations a grouped segment of small tiles reaches at least.
 SEGMENT_ITERATIONS = 2000
@@ -83,6 +88,11 @@ SEGMENT_ITERATIONS = 2000
 #: Previous segments, and previous segments at the same I, whose
 #: templates a segment tries.
 CANDIDATE_DEPTH = 8
+
+#: Simulated segments that keep a template although no segment has yet
+#: matched an earlier one's shape at a whole-line shift; later ones keep
+#: a template only once some segment has.
+PROBE_SEGMENTS = CANDIDATE_DEPTH
 
 
 @dataclass(frozen=True)
@@ -99,8 +109,8 @@ class ExtrapolationReport:
     #: Demand references (reads and writes) of the skipped segments.
     refs_skipped: int
     #: Why the point was simulated in full: ``classifiers`` /
-    #: ``level_not_direct_mapped`` / ``plane_stride`` /
-    #: ``no_steady_state``; ``None`` when a segment was skipped.
+    #: ``plane_stride`` / ``no_steady_state``; ``None`` when a segment
+    #: was skipped. Any cache geometry is eligible.
     reason: str | None
 
 
@@ -110,8 +120,6 @@ def _ineligibility(sel, hier: CacheHierarchy, specs) -> str | None:
         # Miss classifiers must observe every access; skipped segments
         # would leave the shadow caches stale.
         return "classifiers"
-    if not all(isinstance(l, DirectMappedCache) for l in hier.levels):
-        return "level_not_direct_mapped"
     if not sel.tiled and len({s.plane for s in specs.values()}) != 1:
         return "plane_stride"
     return None
@@ -181,11 +189,11 @@ class _Segment:
 @dataclass(frozen=True, slots=True)
 class _Template:
     """A simulated segment: where it started, its shape, and its
-    first-touch template at every level."""
+    first-touch template at every level (``None`` when none was kept)."""
 
     origin: tuple[int, int, int]
     pattern: tuple
-    levels: list
+    levels: list | None
     size: int       #: iterations
 
 
@@ -193,11 +201,19 @@ class _SegmentFilter:
     """The segments of one eligible point, less the template-costed.
 
     :meth:`segments` is the iteration stream fed through
-    ``trace_chunks`` into the point's single ``CacheHierarchy.run``.
+    ``StencilKernel.trace`` into the point's single ``CacheHierarchy.run``.
     When it resumes after yielding a segment, that segment has been fed
     to the engine; it flushes the engine and keeps the segment's
     template. Before yielding the next one it tries the candidates'
     templates and, on a match, costs the segment instead.
+
+    Recording a template costs up to about as much again as simulating
+    its segment, and a template can only ever serve a segment of the same
+    shape at a whole-line shift. So past the first
+    :data:`PROBE_SEGMENTS` simulated segments, while no segment has
+    matched a candidate's shape and shift, segments are simulated
+    without a template or a flush (their shapes are still kept, to
+    notice the first recurrence).
     """
 
     def __init__(self, hier: CacheHierarchy, specs, refs, tiled: bool):
@@ -215,6 +231,8 @@ class _SegmentFilter:
         self.by_start: dict[int, deque] | None = (
             None if tiled and len({row for _, row, _ in self.strides}) > 1
             else {})
+        #: Whether a segment has matched a candidate's shape and shift.
+        self.recurred = False
         self.simulated = 0
         self.skipped = 0
         self.refs_skipped = 0
@@ -256,18 +274,18 @@ class _SegmentFilter:
         return d
 
     def _first_touches(self, tpl: _Template, d: int) -> list | None:
-        """Per level, the sets ``tpl``'s segment shifted by ``d`` bytes
-        touches and its first-touch misses there; ``None`` where a level
-        above the last misses differently from the template, so the
-        next level's input would differ."""
+        """Per level, ``tpl``'s segment shifted by ``d`` bytes: its
+        touch (for ``commit_shifted``) and its first-touch misses;
+        ``None`` where a level above the last misses differently from
+        the template, so the next level's input would differ."""
         out = []
         last = len(self.levels) - 1
         for idx, (lvl, t, line) in enumerate(zip(self.levels, tpl.levels,
                                                  self.lines)):
-            sets, first_miss = lvl.shifted_first_touch(t, d // line)
+            touch, first_miss = lvl.shifted_first_touch(t, d // line)
             if idx < last and not np.array_equal(first_miss, t.first_miss):
                 return None
-            out.append((sets, first_miss))
+            out.append((touch, first_miss))
         return out
 
     def _cost(self, seg: _Segment) -> bool:
@@ -279,13 +297,20 @@ class _SegmentFilter:
             d = self._shift(tpl, seg)
             if d is None or not seg.matches(tpl.pattern):
                 continue
+            if not self.recurred:
+                # The first recurring shape: segments simulated without
+                # a template may still sit in the engine's buffers.
+                self.recurred = True
+                self.hier.flush()
+            if tpl.levels is None:
+                continue
             touched = self._first_touches(tpl, d)
             if touched is None:
                 continue
             deltas = []
-            for lvl, t, line, (sets, first_miss) in zip(
+            for lvl, t, line, (touch, first_miss) in zip(
                     self.levels, tpl.levels, self.lines, touched):
-                lvl.commit_shifted(t, d // line, sets)
+                lvl.commit_shifted(t, d // line, touch)
                 deltas.append((t.accesses,
                                t.internal + int(np.count_nonzero(first_miss))))
             reads = seg.size * self.reads_per_iter
@@ -306,6 +331,12 @@ class _SegmentFilter:
             seg = _Segment(i, j, k)
             if self._cost(seg):
                 continue
+            self.simulated += 1
+            if not self.recurred and self.simulated > PROBE_SEGMENTS:
+                yield i, j, k
+                self._remember(seg.origin[0], _Template(
+                    seg.origin, seg.stored_pattern(), None, seg.size))
+                continue
             for lvl in self.levels:
                 lvl.record_template()
             yield i, j, k
@@ -313,7 +344,6 @@ class _SegmentFilter:
             self._remember(seg.origin[0], _Template(
                 seg.origin, seg.stored_pattern(),
                 [lvl.take_template() for lvl in self.levels], seg.size))
-            self.simulated += 1
 
 
 def simulate_extrapolated(kern, sel, schedule, hier: CacheHierarchy, *,
@@ -332,21 +362,18 @@ def simulate_extrapolated(kern, sel, schedule, hier: CacheHierarchy, *,
     """
     specs = kern.specs(sel.di_p, sel.dj_p, inter_pad_cache=inter_pad)
     reason = _ineligibility(sel, hier, specs)
-    if reason is not None:
-        stats = hier.run(kern.trace(sel, schedule, inter_pad_cache=inter_pad,
-                                    structured=True),
-                         on_chunk=on_chunk)
+    seg_filter = iterations = None
+    if reason is None:
+        group = _tiles_per_segment(kern, sel, schedule,
+                                   max(p.line_bytes for p in hier.params))
+        seg_filter = _SegmentFilter(hier, specs, kern.refs(specs), sel.tiled)
+        iterations = seg_filter.segments(
+            kern.schedule_chunks(sel, schedule, group))
+    stats = hier.run(kern.trace(sel, schedule, inter_pad_cache=inter_pad,
+                                structured=True, iterations=iterations),
+                     on_chunk=on_chunk)
+    if seg_filter is None:
         return stats, ExtrapolationReport(
             fired=False, segments_simulated=0, segments_skipped=0,
             refs_skipped=0, reason=reason)
-
-    refs = kern.refs(specs)
-    group = _tiles_per_segment(kern, sel, schedule,
-                               max(p.line_bytes for p in hier.params))
-    seg_filter = _SegmentFilter(hier, specs, refs, sel.tiled)
-    stats = hier.run(
-        trace_chunks(seg_filter.segments(
-            kern.schedule_chunks(sel, schedule, group)), refs,
-            structured=True),
-        on_chunk=on_chunk)
     return stats, seg_filter.report()

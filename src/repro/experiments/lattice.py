@@ -116,8 +116,8 @@ def run_lattice(kernel: str, n: int,
     projected through :meth:`SweepOptions.point_policy` exactly as a
     serial sweep's are; ``checkpoint`` is ignored (see module
     docstring). Every cell is simulated unless the store holds it.
-    Cells run the segment templates like any exact point; only cells
-    whose levels are all direct-mapped are eligible.
+    Cells run the segment templates like any exact point, whatever
+    their associativity.
     """
     cfg = cfg or ExperimentConfig()
     options = options or SweepOptions()

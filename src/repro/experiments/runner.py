@@ -190,9 +190,9 @@ def _simulate_exact(kernel_name: str, strategy: str, n: int,
     :func:`~repro.experiments.extrapolate.simulate_extrapolated`:
     segments (K planes, tile columns) that a first-touch template of an
     earlier segment proves are costed from it instead of simulated, and
-    every point the proof does not cover (a non-direct-mapped level,
-    mixed plane strides in an untiled sweep, classified) is simulated
-    in full; the statistics are identical either way.
+    every point the proof does not cover (mixed plane strides in an
+    untiled sweep, classified) is simulated in full; the statistics are
+    identical either way, whatever the levels' associativity.
 
     While a metrics registry is live (``--metrics``) the levels carry
     shadow miss classifiers, and classification takes precedence: the

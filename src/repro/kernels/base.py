@@ -125,7 +125,8 @@ class StencilKernel(abc.ABC):
               schedule: Schedule | None = None,
               inter_pad_cache: int | None = None,
               chunk_size: int | None = None,
-              structured: bool = False) -> Iterator:
+              structured: bool = False,
+              iterations: Iterator | None = None) -> Iterator:
         """Reference trace for a tile-selection result.
 
         The schedule defaults to TILED when the selection carries a tile
@@ -137,17 +138,23 @@ class StencilKernel(abc.ABC):
         memory and batching only, never the reference stream itself.
         With ``structured=True`` chunks are
         :class:`~repro.trace.generator.TraceChunk` objects instead of
-        ``(addresses, is_write)`` pairs.
+        ``(addresses, is_write)`` pairs. ``iterations`` traces those
+        ``(I, J, K)`` chunks instead of the schedule's own
+        (:meth:`schedule_chunks`): exact acceleration passes the
+        segments it must simulate
+        (:func:`~repro.experiments.extrapolate.simulate_extrapolated`).
         """
         from repro.trace.generator import trace_chunks
 
-        if schedule is None:
-            schedule = Schedule.TILED if selection.tiled else Schedule.UNTILED
+        if iterations is None:
+            if schedule is None:
+                schedule = (Schedule.TILED if selection.tiled
+                            else Schedule.UNTILED)
+            iterations = self.schedule_chunks(selection, schedule)
         specs = self.specs(selection.di_p, selection.dj_p,
                            inter_pad_cache=inter_pad_cache)
-        return trace_chunks(self.schedule_chunks(selection, schedule),
-                            self.refs(specs), max_addresses=chunk_size,
-                            structured=structured)
+        return trace_chunks(iterations, self.refs(specs),
+                            max_addresses=chunk_size, structured=structured)
 
     def schedule_chunks(self, selection: SelectionResult,
                         schedule: Schedule,

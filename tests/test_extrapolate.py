@@ -5,18 +5,25 @@ from a template, the point's statistics must equal the full
 simulation's bit for bit, and wherever the structural preconditions
 fail the point must be simulated in full (with the reason recorded)
 rather than approximated. Tiny caches make a plane wrap L2 at N~64, so
-the matrix below runs in seconds.
+the matrix below runs in seconds. Templates serve every LRU level, so
+the matrix runs on 2- and 4-way L1s too, and each simulator's template
+is checked against the scalar reference.
 """
 
 import dataclasses
+import itertools
 
 import numpy as np
 import pytest
 
+from repro.cache.assoc_scan import AssocScanCache
+from repro.cache.base import CacheLevel
 from repro.cache.classify import MissClassifier
 from repro.cache.direct_mapped import DirectMappedCache
 from repro.cache.hierarchy import CacheHierarchy
 from repro.cache.params import CacheParams
+from repro.cache.set_assoc import SetAssociativeCache
+from repro.cache.two_way import TwoWayCache
 from repro.core.selector import select
 from repro.experiments.config import ExperimentConfig
 from repro.experiments import extrapolate
@@ -83,18 +90,19 @@ def test_fired_statistics_are_bit_identical(kernel, n):
 MATRIX_STRATEGIES = ("Orig", "Tile", "Euc3D", "GcdPad", "Pad", "GcdPadNT")
 
 
-def differential(kernel, strategy, n, nk):
+def differential(kernel, strategy, n, nk, levels=CFG.levels):
     """Simulate the point at ``nk`` both ways, check the statistics bit
     for bit, and return its selection, schedule and report. NK is
-    built directly: the config clamps it at smoke resolution."""
+    built directly: the config clamps it at smoke resolution. Tiles
+    are selected for the L1 capacity, whatever ``levels`` holds."""
     kern = KERNELS[kernel](n, nk, elem_bytes=CFG.elem_bytes)
     meta = kern.meta
     sel = select(strategy, CFG.cs, n, n, mi=meta.mi, mj=meta.mj,
                  atd=meta.atd)
     schedule = _schedule_for(strategy, kernel, sel)
     stats, report = simulate_extrapolated(kern, sel, schedule,
-                                          CacheHierarchy(CFG.levels))
-    full = CacheHierarchy(CFG.levels).run(
+                                          CacheHierarchy(levels))
+    full = CacheHierarchy(levels).run(
         kern.trace(sel, schedule, structured=True))
     assert_same_stats(stats, full)
     strides = {s.di for s in kern.specs(sel.di_p, sel.dj_p).values()}
@@ -104,11 +112,33 @@ def differential(kernel, strategy, n, nk):
     return sel, schedule, report
 
 
-@pytest.mark.parametrize("nk", [8, 30])
-@pytest.mark.parametrize("n", [64, 90])
-@pytest.mark.parametrize("strategy", MATRIX_STRATEGIES)
-@pytest.mark.parametrize("kernel", sorted(KERNELS))
-def test_differential_matrix(kernel, strategy, n, nk):
+#: The matrix's L1s: the tiny direct-mapped one and 2- and 4-way LRU
+#: L1s of the same capacity and line.
+MATRIX_L1 = {ways: CacheParams(2048, 32, ways, "L1") for ways in (1, 2, 4)}
+
+
+def matrix_cases():
+    """Every kernel x figure strategy x N on each L1 at NK = 8; NK = 30
+    on the direct-mapped L1, and on the associative ones for JACOBI
+    Orig and GcdPad at N = 90 (their full simulation is the slow half).
+    The direct-mapped cases keep their ids."""
+    for ways in MATRIX_L1:
+        for kernel in sorted(KERNELS):
+            for strategy in MATRIX_STRATEGIES:
+                for n in (64, 90):
+                    for nk in (8, 30):
+                        if nk == 30 and ways > 1 and not (
+                                kernel == "JACOBI" and n == 90
+                                and strategy in ("Orig", "GcdPad")):
+                            continue
+                        suffix = "" if ways == 1 else f"-{ways}way"
+                        yield pytest.param(
+                            kernel, strategy, n, nk, ways,
+                            id=f"{kernel}-{strategy}-{n}-{nk}{suffix}")
+
+
+@pytest.mark.parametrize("kernel,strategy,n,nk,ways", matrix_cases())
+def test_differential_matrix(kernel, strategy, n, nk, ways):
     """Every kernel x figure strategy, bit-identical with full simulation.
 
     On the tiny caches N = 90 is 2 mod 4 (a plane is whole 32-byte but
@@ -116,7 +146,20 @@ def test_differential_matrix(kernel, strategy, n, nk):
     7-wide tiles leave edge tiles, and RESID's and PSINV's GcdPad and
     Pad pad one array only.
     """
-    differential(kernel, strategy, n, nk)
+    differential(kernel, strategy, n, nk, [MATRIX_L1[ways], CFG.l2])
+
+
+@pytest.mark.parametrize("levels,strategy", [
+    pytest.param([CacheParams(2048, 32, 64, "L1"), CFG.l2], "GcdPad",
+                 id="fully-assoc-L1"),
+    pytest.param([CFG.l1, CacheParams(65536, 64, 4, "L2")], "Orig",
+                 id="4way-L2"),
+])
+def test_differential_other_geometries(levels, strategy):
+    """A fully associative L1 (one set, 64 ways) and a 4-way L2 record
+    and cost templates too, bit-identical with full simulation."""
+    _, _, report = differential("JACOBI", strategy, 64, 8, levels)
+    assert report.fired
 
 
 @pytest.mark.parametrize("nk", [8, 12, 30])
@@ -221,6 +264,42 @@ def test_fallback_reason_no_steady_state():
     assert report.reason == "no_steady_state"
 
 
+def test_no_recurring_shape_keeps_probe_templates_only(monkeypatch):
+    # Default caches: RESID GcdPad N = 90 pads U only, and no tile
+    # column's shape recurs at a shift of whole 32- and 64-byte lines.
+    # Past the probe segments no template is recorded; still exact.
+    taken = []
+    take = CacheLevel.take_template
+
+    def spy(self):
+        taken.append(self)
+        return take(self)
+
+    monkeypatch.setattr(CacheLevel, "take_template", spy)
+    cfg = ExperimentConfig()
+    report = checked_report("RESID", "GcdPad", 90, cfg)
+    assert report.reason == "no_steady_state"
+    assert report.segments_simulated > extrapolate.PROBE_SEGMENTS
+    assert len(taken) == extrapolate.PROBE_SEGMENTS * len(cfg.levels)
+
+
+@pytest.mark.parametrize("probe", [0, 1])
+@pytest.mark.parametrize("ways", [1, 2])
+@pytest.mark.parametrize("kernel,strategy,n", [
+    ("JACOBI", "Orig", 64), ("REDBLACK", "Orig", 96), ("JACOBI", "GcdPad", 90)])
+def test_templates_kept_from_first_recurrence_are_exact(
+        monkeypatch, kernel, strategy, n, ways, probe):
+    # With fewer probe segments, the segments simulated before the
+    # first recurring shape keep no template and are not flushed: they
+    # may still sit in the engine's buffers when the next segment is
+    # recorded (probe 0) or costed from a probe template (probe 1, red-
+    # black planes recur two planes back).
+    monkeypatch.setattr(extrapolate, "PROBE_SEGMENTS", probe)
+    _, _, report = differential(kernel, strategy, n, 8,
+                                [MATRIX_L1[ways], CFG.l2])
+    assert report.fired
+
+
 def test_fallback_reason_classifiers():
     kern, sel, schedule = point_setup("JACOBI", "Orig", 64)
     hier = CacheHierarchy(CFG.levels)
@@ -231,13 +310,16 @@ def test_fallback_reason_classifiers():
     assert_same_stats(stats, run_full("JACOBI", "Orig", 64))
 
 
-def test_fallback_reason_level_not_direct_mapped():
+def test_two_way_l2_point_fires():
+    # An associative level is no fallback reason: a 2-way L2 records
+    # and costs templates like a direct-mapped one.
     cfg = ExperimentConfig(l1=CFG.l1,
                            l2=CacheParams(65536, 64, 2, "L2"),
                            machine=ULTRASPARC2_360, nk=8)
     report = checked_report("JACOBI", "Orig", 64, cfg)
-    assert not report.fired
-    assert report.reason == "level_not_direct_mapped"
+    assert report.fired
+    assert report.reason is None
+    assert report.segments_skipped > 0
 
 
 def test_report_is_frozen():
@@ -281,6 +363,80 @@ def test_shifted_tags_roundtrip():
             assert misses == tpl.internal + int(first_miss.sum())
             np.testing.assert_array_equal(costed.resident_lines(),
                                           sim.resident_lines())
+
+
+def lru_stacks(cache, num_sets):
+    """Each set's resident lines, most recent first."""
+    if isinstance(cache, SetAssociativeCache):
+        return [list(ways)[::-1] for ways in cache._sets]
+    return [[int(x) for x in row if x >= 0]
+            for row in cache.stacks(np.arange(num_sets))]
+
+
+@pytest.mark.parametrize("cls,ways", [
+    (DirectMappedCache, 1), (TwoWayCache, 2), (AssocScanCache, 2),
+    (AssocScanCache, 4), (AssocScanCache, 8)])
+def test_template_costs_shifted_segment_like_reference(cls, ways):
+    """Each simulator's template costs a whole-line translate of its
+    segment as the scalar LRU reference simulates it, from random prior
+    states: the misses, and every set's lines in LRU order."""
+    rng = np.random.default_rng(ways)
+    params = CacheParams(2048, 32, ways, "L1")
+    sets = params.num_sets
+    # Sets below 3/4 of the cache see many lines each; the top quarter
+    # sees fewer lines than ways (set top - 1 - q sees q of them).
+    dense = rng.integers(0, 3 * sets // 4, 6000) + sets * rng.integers(
+        10, 10 + 3 * ways, 6000)
+    sparse = [sets - 1 - q + sets * (40 + np.arange(q))
+              for q in range(min(ways, sets // 4))]
+    lines = np.concatenate([dense, *(np.repeat(x, 3) for x in sparse)])
+    rng.shuffle(lines)
+    seg = lines * 32 + rng.integers(0, 32, lines.size)
+    rec = cls(params)
+    rec.window = 1024            # the segment spans several windows
+    rec.access(rng.integers(0, 1 << 16, 3000) * 8)
+    rec.record_template()
+    before = rec.stats.misses
+    rec.access(seg)
+    tpl = rec.take_template()
+    assert tpl.accesses == seg.size
+    assert tpl.internal + int(tpl.first_miss.sum()) == \
+        rec.stats.misses - before
+    if ways > 1:
+        assert not tpl.recorded.all()
+    depths = set()
+    for d, warm_kind in itertools.product((0, sets, 3 * sets + 5, 1000),
+                                          ("mixed", "reversed")):
+        shifted = lines + d
+        if warm_kind == "mixed":
+            # Some of the shifted lines at mixed recency, so first
+            # touches find them at several depths.
+            warm = np.concatenate([rng.choice(shifted, 200),
+                                   rng.integers(0, 1 << 12, 400)])
+            rng.shuffle(warm)
+        else:
+            # The shifted segment backwards: each set's first lines sit
+            # on top of its stack in first-touch order, so a line's
+            # earlier first lines were above it and push nothing down.
+            warm = shifted[::-1]
+        ref, costed = SetAssociativeCache(params), cls(params)
+        ref.access(warm * 32)
+        costed.access(warm * 32)
+        prior = costed.stacks(np.arange(sets))
+        misses = int(ref.access(shifted * 32).sum())
+        touch, first_miss = costed.shifted_first_touch(tpl, d)
+        costed.commit_shifted(tpl, d, touch)
+        assert tpl.internal + int(first_miss.sum()) == misses
+        assert lru_stacks(costed, sets) == lru_stacks(ref, sets)
+        # The state left behind keeps simulating like the reference.
+        after = rng.integers(0, 1 << 12, 2000) * 32
+        np.testing.assert_array_equal(costed.access(after), ref.access(after))
+        first = (tpl.first + d).reshape(tpl.sets.size, ways)
+        found = (first[:, :, None] == prior[
+            (tpl.sets.astype(np.int64) + d) & (sets - 1)][:, None, :])
+        found &= tpl.recorded.reshape(tpl.sets.size, ways)[:, :, None]
+        depths |= set(np.nonzero(found)[2].tolist())
+    assert len(depths) == ways
 
 
 def test_run_point_records_extrapolated_flag():
