@@ -3,10 +3,8 @@
 Run with ``pytest benchmarks/ --benchmark-only``. Each benchmark both
 times its experiment (single round — the work is a deterministic
 simulation, not a microbenchmark) and writes the regenerated
-table/figure to ``benchmarks/out/`` and stdout.
-
-Set ``REPRO_FULL=1`` for paper-density sweeps (N step 10, K extent 30);
-the default smoke resolution preserves every qualitative shape.
+table/figure to ``benchmarks/out/`` and stdout. Every sweep runs at
+the paper's density: N step 10, K extent 30.
 """
 
 from __future__ import annotations

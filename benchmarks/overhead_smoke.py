@@ -10,16 +10,16 @@ Two assertions:
    ``metrics.inc`` costs well under a microsecond per call on any
    modern machine; we assert < 10 us/call.
 2. **Macro**: one point simulated in full (RESID GcdPadNT, N = 200,
-   whose mixed plane strides keep it off the segment templates) runs
-   with the real disabled hooks and with ``metrics.inc``,
-   ``metrics.observe``, ``events.emit`` and ``events.span`` replaced by
-   bare no-ops, in :data:`PAIRS` back-to-back pairs (alternating which
-   runs first). The median pair's hooked / bare ratio of process CPU
-   time may be at most :data:`MAX_RATIO`. Both runs do the same
-   simulation, so the ratio is the hooks' cost alone, whatever the
-   machine's speed; CPU time leaves out the time the process waits
-   for a busy host's cores, and pairing and the median leave out
-   slow stretches of the host.
+   NK = 11, whose mixed plane strides keep it off the segment
+   templates) runs with the real disabled hooks and with
+   ``metrics.inc``, ``metrics.observe``, ``events.emit`` and
+   ``events.span`` replaced by bare no-ops, in :data:`PAIRS`
+   back-to-back pairs (alternating which runs first). The median
+   pair's hooked / bare ratio of process CPU time may be at most
+   :data:`MAX_RATIO`. Both runs do the same simulation, so the ratio
+   is the hooks' cost alone, whatever the machine's speed; CPU time
+   leaves out the time the process waits for a busy host's cores, and
+   pairing and the median leave out slow stretches of the host.
 
 Exits non-zero with a message on failure.
 """
@@ -90,7 +90,7 @@ def macro() -> float:
     from repro.experiments.runner import run_point
 
     assert not metrics.enabled(), "a metrics registry is live"
-    cfg = ExperimentConfig()
+    cfg = ExperimentConfig(nk=11)  # the depth the limit was set at
 
     def one_run() -> None:
         p = run_point("RESID", "GcdPadNT", 200, cfg)

@@ -15,9 +15,7 @@ GcdPadNT have mixed plane strides. The associativity lattice's default
 grid runs the same check on its 2- and 4-way L1s: JACOBI Orig, GcdPad
 and Pad with 32- and 64-byte lines at the paper's L1 capacity and L2,
 N in {218, 226} (at N = 226 templates cost only about 44% of Pad's
-references, so its simulated segments are checked too). The config
-clamps NK to the smoke resolution unless ``REPRO_FULL=1``, so the
-kernels are built at NK = 30 directly.
+references, so its simulated segments are checked too).
 """
 
 from __future__ import annotations

@@ -2,8 +2,8 @@
 
 The paper reports 6% total-time improvement at the 130^3 reference size
 (noting the kernel's modest 6.8% untiled L1 miss rate there). The model
-runs the real V-cycle structure and simulates RESID per level;
-``REPRO_FULL=1`` runs the reference 130^3, the default a 66^3 class.
+runs the real V-cycle structure and simulates RESID per level at the
+reference 130^3.
 """
 
 from repro.experiments.mgrid_app import format_mgrid_app, mgrid_app

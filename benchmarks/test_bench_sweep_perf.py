@@ -41,17 +41,17 @@ def tiny_config() -> ExperimentConfig:
 def _assoc_speedup(assoc: int, n: int = 96, repeats: int = 3) -> float:
     """Scalar-reference seconds over engine seconds at ``assoc`` ways.
 
-    Materializes one JACOBI Orig trace under the default config with
-    its L1 re-shaped to ``assoc`` ways (same capacity and line size),
-    then runs the full L1+L2 hierarchy over it two ways: through
-    :meth:`CacheHierarchy.run`, the engine driving the simulators
+    Materializes one JACOBI Orig trace at NK = 11 under the paper's
+    caches with its L1 re-shaped to ``assoc`` ways (same capacity and
+    line size), then runs the full L1+L2 hierarchy over it two ways:
+    through :meth:`CacheHierarchy.run`, the engine driving the simulators
     :func:`build_simulator` picks, and chunk by chunk with a scalar
     :class:`SetAssociativeCache` L1, the exact-LRU reference the
     engines are differentially tested against. Trace generation is
     identical on both sides and excluded, so the ratio isolates
     simulation cost.
     """
-    base = ExperimentConfig()
+    base = ExperimentConfig(nk=11)  # the depth the floors were set at
     cfg = replace(base, l1=replace(base.l1, assoc=assoc))
     kern = Jacobi3D(n, cfg.nk, elem_bytes=cfg.elem_bytes)
     meta = kern.meta

@@ -5,8 +5,8 @@ Exposes the library's main entry points without writing any Python:
     python -m repro select --strategy GcdPad --n 300
     python -m repro simulate --kernel JACOBI --strategy Pad --n 250
     python -m repro table1
-    python -m repro table3 [--full] [--checkpoint PATH] [--budget SEC]
-    python -m repro figures --kernel REDBLACK [--full] [--checkpoint PATH]
+    python -m repro table3 [--n N ...] [--checkpoint PATH] [--budget SEC]
+    python -m repro figures --kernel REDBLACK [--checkpoint PATH]
     python -m repro lattice --kernel JACOBI --n 300 [--assoc 1 --assoc 2]
     python -m repro fig22
     python -m repro mgrid [--level 7]
@@ -17,18 +17,18 @@ Exposes the library's main entry points without writing any Python:
     python -m repro runs list|show|gc --run-dir DIR
     python -m repro watch RUN_DIR [--once]
 
-``--full`` switches to the paper's sweep density (equivalent to setting
-``REPRO_FULL=1``). The sweep commands (``table3``, ``figures``) accept
-``--checkpoint PATH`` to journal completed points and resume after an
-interruption (a journal written under another configuration is
-refused), ``--resume`` to insist the journal already exists, and
-``--budget SECONDS`` to cap each point's exact simulation (over-budget
-points degrade to the analytic miss model and are flagged in the
-output). ``--parallel N`` fans sweep points out to N
-supervised worker processes — a crashed, hung, or over-
-``--point-timeout`` worker is SIGKILLed, retried, and finally
-quarantined to the analytic model, so the sweep always completes with a
-full result set. Usage errors exit with code 2 and a one-line message.
+The sweep commands (``table3``, ``figures``) run the paper's setup, N x
+N x 30 arrays with N = 200..400 step 10 (``--n`` picks other sizes).
+They accept ``--checkpoint PATH`` to journal completed points and
+resume after an interruption (a journal written under another
+configuration is refused), ``--resume`` to insist the journal already
+exists, and ``--budget SECONDS`` to cap each point's exact simulation
+(over-budget points degrade to the analytic miss model and are flagged
+in the output). ``--parallel N`` fans sweep points out to N supervised
+worker processes — a crashed, hung, or over-``--point-timeout`` worker
+is SIGKILLed, retried, and finally quarantined to the analytic model,
+so the sweep always completes with a full result set. Usage errors
+exit with code 2 and a one-line message.
 
 Performance (``simulate``, ``table3``, ``figures``): ``--point-cache
 DIR`` keeps a persistent, content-addressed store of simulated points —
@@ -72,7 +72,6 @@ from __future__ import annotations
 
 import argparse
 import logging
-import os
 import sys
 from typing import Sequence
 
@@ -122,8 +121,11 @@ def build_parser() -> argparse.ArgumentParser:
     sub = p.add_subparsers(dest="command", required=True)
 
     def add_full(sp):
+        # Parses and does nothing: paper density is the only resolution,
+        # but the benchmark's `ledgered` workload (perfbench/run.py)
+        # still runs `table3 --full`.
         sp.add_argument("--full", action="store_true",
-                        help="paper-density sweeps (sets REPRO_FULL=1)")
+                        help=argparse.SUPPRESS)
 
     def add_resilience(sp):
         sp.add_argument("--checkpoint", metavar="PATH",
@@ -172,7 +174,6 @@ def build_parser() -> argparse.ArgumentParser:
                     choices=["JACOBI", "REDBLACK", "RESID"])
     sp.add_argument("--strategy", default="GcdPad")
     sp.add_argument("--n", type=int, required=True)
-    add_full(sp)
     add_perf(sp)
 
     sp = sub.add_parser("table1", help="Table 1: tile enumeration",
@@ -229,12 +230,10 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--point-timeout", type=float, metavar="SECONDS",
                     help="per-point wall clock, enforced as a budget "
                          "(lattice cells run serially)")
-    add_full(sp)
     add_perf(sp)
 
     sp = sub.add_parser("fig22", help="Figure 22: padding memory overhead",
                         parents=[obsopts])
-    add_full(sp)
 
     sp = sub.add_parser("mgrid", help="Section 4.6: MGRID application study",
                         parents=[obsopts])
@@ -310,11 +309,6 @@ def build_parser() -> argparse.ArgumentParser:
                     help="give up (exit 1) if the run has not ended "
                          "after SECONDS")
     return p
-
-
-def _apply_full(args) -> None:
-    if getattr(args, "full", False):
-        os.environ["REPRO_FULL"] = "1"
 
 
 def _validate(args) -> None:
@@ -444,7 +438,6 @@ def main(argv: Sequence[str] | None = None) -> int:
 
 def _run(argv: Sequence[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    _apply_full(args)
     _validate(args)
 
     if args.command == "obs-report":
@@ -511,7 +504,6 @@ def _runs(args) -> int:
 
 
 def _dispatch(args) -> int:
-    # Imports happen after REPRO_FULL is set so configs pick it up.
     if args.command == "select":
         from repro.core.selector import select
 

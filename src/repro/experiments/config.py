@@ -1,39 +1,25 @@
-"""Experiment configuration: cache geometry, problem sizes, resolution.
+"""Experiment configuration: cache geometry, problem sizes.
 
 The paper's setup (Section 4.2): 16K/2M direct-mapped caches, problem
-sizes ``N x N x 30`` with N in 200..400 (400..700 for the large-size
-RESID study), float64 elements, write-around caches.
-
-Resolution control: full paper-density sweeps simulate billions of
-references; by default the harness uses a coarse N grid and a shallower
-K extent, which preserves every qualitative shape (miss rates reach
-steady state within a few planes). Set ``REPRO_FULL=1`` for
-paper-density runs.
+sizes ``N x N x 30`` with N in 200..400 step 10 (400..700 for the
+large-size RESID study), float64 elements, write-around caches. The
+defaults are exactly that setup; a smaller point is asked for
+explicitly (``ExperimentConfig(nk=...)``, an explicit size list).
 """
 
 from __future__ import annotations
 
-import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.cache.params import CacheParams, ULTRASPARC2_L1, ULTRASPARC2_L2
 from repro.perfmodel.machine import MachineModel, ULTRASPARC2_360
 
-__all__ = ["ExperimentConfig", "default_sizes", "full_resolution"]
+__all__ = ["ExperimentConfig", "default_sizes"]
 
 
-def full_resolution() -> bool:
-    """Whether paper-density sweeps were requested via ``REPRO_FULL=1``."""
-    return os.environ.get("REPRO_FULL", "").strip() in ("1", "true", "yes")
-
-
-def default_sizes(lo: int = 200, hi: int = 400,
-                  full: bool | None = None) -> list[int]:
-    """Problem sizes to sweep; paper density is step 10."""
-    if full is None:
-        full = full_resolution()
-    step = 10 if full else 50
-    return list(range(lo, hi + 1, step))
+def default_sizes(lo: int = 200, hi: int = 400) -> list[int]:
+    """Problem sizes to sweep at the paper's density, step 10."""
+    return list(range(lo, hi + 1, 10))
 
 
 @dataclass(frozen=True)
@@ -52,17 +38,6 @@ class ExperimentConfig:
     #: (off by default: the paper's RESID experiments *tolerate*
     #: cross-interference; see the ablation bench).
     inter_pad: bool = False
-
-    def __post_init__(self) -> None:
-        if full_resolution():
-            return
-        # Coarse default: a shallower K extent cuts simulation cost ~3x
-        # while leaving per-plane steady-state behaviour intact. 11 (odd)
-        # keeps multi-array base distances benign, like the paper's
-        # DK=30 does: for GcdPad geometries the plane is 512 mod 2048,
-        # so an even DK would alias U and V bases exactly (512*12 = 0
-        # mod 2048) — an accident of depth, not a property of padding.
-        object.__setattr__(self, "nk", min(self.nk, 11))
 
     @property
     def cs(self) -> int:

@@ -28,9 +28,14 @@ class TestParser:
             ["figures", "--kernel", "RESID", "--csv", "f.csv"])
         assert a.kernel == "RESID" and a.csv == "f.csv"
 
-    def test_full_flag(self):
+    def test_full_flag(self, capsys):
+        # A hidden no-op: paper density is the only resolution.
         a = build_parser().parse_args(["table3", "--full"])
         assert a.full
+        assert main(["table3", "--n", "48", "-q"]) == 0
+        plain = capsys.readouterr().out
+        assert main(["table3", "--n", "48", "--full", "-q"]) == 0
+        assert capsys.readouterr().out == plain
 
     def test_resilience_flags(self):
         a = build_parser().parse_args(

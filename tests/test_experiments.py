@@ -143,16 +143,23 @@ class TestTables:
 
 
 class TestConfig:
+    """The defaults are the paper's setup (N step 10, NK = 30) with no
+    resolution variable in the environment."""
+
+    @pytest.fixture(autouse=True)
+    def _no_resolution_switch(self, monkeypatch):
+        monkeypatch.delenv("REPRO_FULL", raising=False)
+
     def test_default_sizes(self):
-        assert default_sizes(200, 400, full=False) == [200, 250, 300, 350, 400]
-        assert default_sizes(200, 400, full=True)[:3] == [200, 210, 220]
+        assert default_sizes() == list(range(200, 401, 10))
+        assert len(default_sizes(400, 700)) == 31
 
     def test_cs(self, tiny_config):
         assert tiny_config.cs == 256
 
-    def test_nk_clamped_in_smoke_mode(self):
-        cfg = ExperimentConfig(nk=30)
-        assert cfg.nk <= 12
+    def test_nk_is_paper_depth(self):
+        assert ExperimentConfig().nk == 30
+        assert ExperimentConfig(nk=30).nk == 30
 
 
 class TestReport:

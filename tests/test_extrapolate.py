@@ -92,9 +92,8 @@ MATRIX_STRATEGIES = ("Orig", "Tile", "Euc3D", "GcdPad", "Pad", "GcdPadNT")
 
 def differential(kernel, strategy, n, nk, levels=CFG.levels):
     """Simulate the point at ``nk`` both ways, check the statistics bit
-    for bit, and return its selection, schedule and report. NK is
-    built directly: the config clamps it at smoke resolution. Tiles
-    are selected for the L1 capacity, whatever ``levels`` holds."""
+    for bit, and return its selection, schedule and report. Tiles are
+    selected for the L1 capacity, whatever ``levels`` holds."""
     kern = KERNELS[kernel](n, nk, elem_bytes=CFG.elem_bytes)
     meta = kern.meta
     sel = select(strategy, CFG.cs, n, n, mi=meta.mi, mj=meta.mj,

@@ -9,9 +9,11 @@ from repro.obs.report import (format_report, read_events, read_metrics,
                               summarize)
 
 
-@pytest.fixture
-def artifacts(tmp_path):
-    """One instrumented tiny table3 run; yields (events_path, metrics_path)."""
+@pytest.fixture(scope="module")
+def artifacts(tmp_path_factory):
+    """One instrumented tiny table3 run, read by every test that asks;
+    yields (events_path, metrics_path)."""
+    tmp_path = tmp_path_factory.mktemp("instrumented")
     ev = tmp_path / "run.jsonl"
     mx = tmp_path / "metrics.json"
     rc = main(["table3", "--n", "8",
@@ -203,9 +205,11 @@ class TestEmptyAndTruncatedEvents:
 
 
 class TestRunDir:
-    @pytest.fixture
-    def run(self, tmp_path):
-        """One ledgered tiny table3 run; yields the run directory."""
+    @pytest.fixture(scope="class")
+    def run(self, tmp_path_factory):
+        """One ledgered tiny table3 run, read by every test that asks;
+        yields the run directory."""
+        tmp_path = tmp_path_factory.mktemp("ledgered")
         led = tmp_path / "ledger"
         csv = tmp_path / "points.csv"
         rc = main(["table3", "--n", "8", "--run-dir", str(led),
