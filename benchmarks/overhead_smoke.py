@@ -1,10 +1,10 @@
-"""Overhead smoke check: disabled instrumentation must be near-free.
+"""Overhead smoke check: instrumentation must be near-free, off or on.
 
 Run as a script (CI does):
 
     PYTHONPATH=src python benchmarks/overhead_smoke.py
 
-Two assertions:
+Three assertions:
 
 1. **Micro**: the disabled fast path of ``events.emit`` /
    ``metrics.inc`` costs well under a microsecond per call on any
@@ -20,6 +20,14 @@ Two assertions:
    is the hooks' cost alone, whatever the machine's speed; CPU time
    leaves out the time the process waits for a busy host's cores, and
    pairing and the median leave out slow stretches of the host.
+3. **Enabled**: one point costed from segment templates (RESID Pad,
+   N = 200, NK = 30) runs plain and under a live ``MetricsRegistry``
+   and ``EventBus(MemorySink())``, in :data:`PAIRS` alternating pairs
+   of process CPU time. Both runs must report ``extrapolated`` —
+   collecting metrics must not switch the point to a different
+   simulation (3C classification is ``--classify``'s, not
+   ``--metrics``') — and the median enabled / plain ratio may be at
+   most :data:`MAX_ENABLED_RATIO`.
 
 Exits non-zero with a message on failure.
 """
@@ -32,12 +40,16 @@ import sys
 import time
 
 from repro.obs import events, metrics
+from repro.obs.events import EventBus, MemorySink
+from repro.obs.metrics import MetricsRegistry
 from repro.perf.timing import Stopwatch
 
-#: Hooked / bare pairs the macro check times (the median ratio counts).
+#: Pairs the macro and enabled checks time (the median ratio counts).
 PAIRS = 21
 #: Largest hooked / bare CPU-time ratio the macro check accepts.
 MAX_RATIO = 1.15
+#: Largest enabled / plain CPU-time ratio the enabled check accepts.
+MAX_ENABLED_RATIO = 1.2
 
 
 def micro() -> float:
@@ -85,6 +97,29 @@ def _bare_hooks(fn) -> float:
             setattr(mod, name, fn_)
 
 
+def _observed(fn) -> float:
+    """CPU seconds of one ``fn()`` under a live registry and event
+    bus."""
+    with metrics.collect(MetricsRegistry()), \
+            events.use(EventBus(MemorySink())):
+        return _cpu_seconds(fn)
+
+
+def _paired(measured, baseline) -> tuple[list[float], list[float]]:
+    """:data:`PAIRS` back-to-back ``(measured(), baseline())`` CPU-time
+    pairs, alternating which runs first; returns (ratios, measured)."""
+    ratios, times = [], []
+    for i in range(PAIRS):
+        if i % 2:
+            base = baseline()
+            times.append(measured())
+        else:
+            times.append(measured())
+            base = baseline()
+        ratios.append(times[-1] / base)
+    return ratios, times
+
+
 def macro() -> float:
     from repro.experiments.config import ExperimentConfig
     from repro.experiments.runner import run_point
@@ -111,15 +146,8 @@ def macro() -> float:
     finally:
         metrics.inc = real_inc
     assert calls, "the point makes no hook calls"
-    ratios, hooked = [], []
-    for i in range(PAIRS):
-        if i % 2:
-            bare = _bare_hooks(one_run)
-            hooked.append(_cpu_seconds(one_run))
-        else:
-            hooked.append(_cpu_seconds(one_run))
-            bare = _bare_hooks(one_run)
-        ratios.append(hooked[-1] / bare)
+    ratios, hooked = _paired(lambda: _cpu_seconds(one_run),
+                             lambda: _bare_hooks(one_run))
     ratio = statistics.median(ratios)
     print(f"macro: full-simulation point ({calls} metrics.inc calls), "
           f"{statistics.median(hooked):.3f} CPU s with disabled hooks; "
@@ -130,10 +158,40 @@ def macro() -> float:
     return ratio
 
 
+def enabled() -> float:
+    from repro.experiments.config import ExperimentConfig
+    from repro.experiments.runner import run_point
+
+    assert not metrics.enabled(), "a metrics registry is live"
+    cfg = ExperimentConfig()
+
+    def one_run() -> None:
+        p = run_point("RESID", "Pad", 200, cfg)
+        assert p.extrapolated, (
+            "the point must be costed from templates, observed or not")
+
+    # Warm imports and caches off the clock, and check both paths.
+    one_run()
+    _observed(one_run)
+    ratios, observed = _paired(lambda: _observed(one_run),
+                               lambda: _cpu_seconds(one_run))
+    ratio = statistics.median(ratios)
+    print(f"enabled: template-costed point, "
+          f"{statistics.median(observed):.3f} CPU s under a live registry "
+          f"and event bus; enabled / plain over {PAIRS} pairs: median "
+          f"{ratio:.3f} (range {min(ratios):.3f}-{max(ratios):.3f}, "
+          f"limit {MAX_ENABLED_RATIO})")
+    assert ratio <= MAX_ENABLED_RATIO, (
+        f"enabled instrumentation costs {ratio:.2f}x a plain run "
+        f"(limit {MAX_ENABLED_RATIO})")
+    return ratio
+
+
 def main() -> int:
     try:
         micro()
         macro()
+        enabled()
     except AssertionError as exc:
         print(f"overhead smoke FAILED: {exc}", file=sys.stderr)
         return 1

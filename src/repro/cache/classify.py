@@ -25,7 +25,9 @@ the metrics contract rely on that identity.
 The shadow simulation is a per-access Python loop (fully associative
 LRU does not vectorize the way direct-mapped simulation does), so
 classification is opt-in — the experiment runner attaches classifiers
-only when metrics collection is enabled (``--metrics``).
+only when the point policy asks for them (``--classify``, which needs
+``--metrics`` or ``--run-dir`` to record into). Collecting metrics
+alone attaches none.
 
 Classifiers ride the same engine as every other run:
 :class:`~repro.cache.engine.HierarchyEngine` hands each level's
@@ -37,7 +39,7 @@ loop. Classification is incompatible with
 segment templates (:mod:`repro.experiments.extrapolate`) — skipped
 segments are never simulated, so their misses could not be classified.
 Classification takes precedence: a classified point is simulated in
-full (extrapolation reason ``classifiers``), so under ``--metrics``
+full (extrapolation reason ``classifiers``), so under ``--classify``
 ``repro.sim.miss_class`` always sums to ``repro.sim.misses``.
 """
 

@@ -47,7 +47,7 @@ into segments (K planes, tile columns), and a segment that is a
 whole-line translate of an earlier simulated one is costed from that
 segment's first-touch template instead of simulated — identical miss
 counts, flagged per point (``simulate`` prints ``[extrapolated]``);
-ineligible points, and every point under ``--metrics`` (3C
+ineligible points, and every point under ``--classify`` (3C
 classification must see every access), are simulated in full.
 
 Observability (every command, flags go after the subcommand name):
@@ -56,7 +56,12 @@ JSONL, ``--metrics PATH`` snapshots the metrics registry as JSON,
 ``--profile`` adds per-phase tracemalloc peaks to span-end events
 (requires ``--log-json``), and ``-v``/``-q`` raise/lower stderr log
 verbosity. ``repro obs-report`` summarizes the artifacts afterwards.
-Tables and figures always go to stdout; diagnostics go to stderr.
+Observing a run does not change what it simulates. 3C miss
+classification does, so it is its own request: ``--classify`` on
+``simulate``, ``table3``, ``figures`` and ``lattice`` (requires
+``--metrics`` or ``--run-dir``, where the counts land) simulates every
+point in full under shadow classifiers. Tables and figures always go
+to stdout; diagnostics go to stderr.
 
 Run ledger: ``--run-dir DIR`` records the invocation under
 ``DIR/<run_id>/`` — a CRC'd manifest (argv, config fingerprint,
@@ -96,9 +101,9 @@ def build_parser() -> argparse.ArgumentParser:
                         "(nested timed spans, retries, checkpoint "
                         "resumes) to PATH as JSONL")
     g.add_argument("--metrics", metavar="PATH",
-                   help="write a metrics snapshot (miss classification, "
-                        "search effort, throughput) to PATH as JSON; "
-                        "also enables the shadow miss classifier")
+                   help="write a metrics snapshot (per-level misses, "
+                        "search effort, throughput; miss classification "
+                        "under --classify) to PATH as JSON")
     g.add_argument("--profile", action="store_true",
                    help="attach per-phase tracemalloc peak memory to "
                         "span-end events (requires --log-json or "
@@ -150,6 +155,14 @@ def build_parser() -> argparse.ArgumentParser:
                              "the worker is SIGKILLed on expiry; "
                              "serially it acts as a wall budget")
 
+    def add_classify(sp):
+        sp.add_argument("--classify", action="store_true",
+                        help="split each simulated point's misses into "
+                             "cold/conflict/capacity and by array in the "
+                             "metrics snapshot; classified points are "
+                             "simulated in full, without segment "
+                             "templates (requires --metrics or --run-dir)")
+
     def add_perf(sp):
         sp.add_argument("--point-cache", metavar="DIR",
                         help="persistent point store: simulated points "
@@ -174,6 +187,7 @@ def build_parser() -> argparse.ArgumentParser:
                     choices=["JACOBI", "REDBLACK", "RESID"])
     sp.add_argument("--strategy", default="GcdPad")
     sp.add_argument("--n", type=int, required=True)
+    add_classify(sp)
     add_perf(sp)
 
     sp = sub.add_parser("table1", help="Table 1: tile enumeration",
@@ -188,6 +202,7 @@ def build_parser() -> argparse.ArgumentParser:
                          "default: the standard N grid")
     add_full(sp)
     add_resilience(sp)
+    add_classify(sp)
     add_perf(sp)
 
     sp = sub.add_parser("figures", help="Figures 14-19 series for a kernel",
@@ -201,6 +216,7 @@ def build_parser() -> argparse.ArgumentParser:
                          "default: the standard N grid")
     add_full(sp)
     add_resilience(sp)
+    add_classify(sp)
     add_perf(sp)
 
     sp = sub.add_parser("lattice",
@@ -230,6 +246,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--point-timeout", type=float, metavar="SECONDS",
                     help="per-point wall clock, enforced as a budget "
                          "(lattice cells run serially)")
+    add_classify(sp)
     add_perf(sp)
 
     sp = sub.add_parser("fig22", help="Figure 22: padding memory overhead",
@@ -276,7 +293,9 @@ def build_parser() -> argparse.ArgumentParser:
                          "metrics are used)")
     sp.add_argument("--metrics", metavar="PATH",
                     help="metrics snapshot written by --metrics "
-                         "(adds miss-classification tables)")
+                         "(adds the engine and extrapolation lines, and "
+                         "the miss-classification tables of a "
+                         "--classify run)")
     sp.add_argument("--top", type=int, default=5,
                     help="how many slowest points to list (default 5)")
 
@@ -333,6 +352,12 @@ def _validate(args) -> None:
         raise ConfigurationError(
             "--profile records memory peaks on span-end events; "
             "it requires --log-json PATH or --run-dir DIR")
+    if getattr(args, "classify", False) \
+            and not getattr(args, "metrics", None) \
+            and not getattr(args, "run_dir", None):
+        raise ConfigurationError(
+            "--classify records miss classes in the metrics snapshot; "
+            "it requires --metrics PATH or --run-dir DIR")
     if args.command == "obs-report" and args.top <= 0:
         raise ConfigurationError(f"--top must be positive, got {args.top}")
     if args.command == "mgrid" and not 2 <= args.level <= 10:
@@ -408,7 +433,8 @@ def _sweep_options(args):
         budget=budget,
         parallel=getattr(args, "parallel", 1),
         point_timeout=getattr(args, "point_timeout", None),
-        point_cache=getattr(args, "point_cache", None) or None)
+        point_cache=getattr(args, "point_cache", None) or None,
+        classify=getattr(args, "classify", False))
 
 
 def main(argv: Sequence[str] | None = None) -> int:
@@ -522,7 +548,8 @@ def _dispatch(args) -> int:
         from repro.experiments.options import PointPolicy
         from repro.experiments.runner import open_store, run_point
 
-        policy = PointPolicy(store=open_store(args.point_cache or None))
+        policy = PointPolicy(store=open_store(args.point_cache or None),
+                             classify=args.classify)
         p = run_point(args.kernel, args.strategy, args.n, ExperimentConfig(),
                       policy=policy)
         marker = " [extrapolated]" if p.extrapolated else ""

@@ -53,8 +53,9 @@ shift keeps no template and flushes nothing until one does.
 Ineligible by construction, and simulated in full (checked in this
 order):
 
-* **classifiers** — 3C classification must observe every access
-  (``reason="classifiers"``);
+* **classifiers** — 3C classification, attached only when the point
+  policy asks for it (``--classify``), must observe every access
+  (``reason="classifiers"``); a live metrics registry attaches none;
 * **mixed plane strides in an untiled sweep** — its segments differ by
   K steps only, and when arrays have different padded plane sizes
   (RESID GcdPadNT) a K step moves each array by a different distance,

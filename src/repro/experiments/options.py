@@ -48,12 +48,17 @@ class SweepOptions:
     ``point_cache``     persistent point store — a directory path or an
                         open :class:`~repro.perf.store.PointStore`; points
                         are reused across processes and across runs
+    ``classify``        3C-classify every exact point's misses
+                        (:mod:`repro.cache.classify`) into the live
+                        metrics registry; such points are simulated in
+                        full
     ==================  ====================================================
 
-    Every exact point runs the segment-template acceleration
-    (:mod:`repro.experiments.extrapolate`) over trace chunks of the
-    generator's one bound; neither is an option, since neither changes
-    a statistic.
+    Every unclassified exact point runs the segment-template
+    acceleration (:mod:`repro.experiments.extrapolate`) over trace
+    chunks of the generator's one bound; neither is an option, since
+    neither changes a statistic. A live metrics registry or event bus
+    changes only what is recorded, never what is simulated.
     """
 
     checkpoint: "str | os.PathLike | CheckpointJournal | None" = None
@@ -61,6 +66,7 @@ class SweepOptions:
     parallel: int = 1
     point_timeout: float | None = None
     point_cache: "str | os.PathLike | PointStore | None" = None
+    classify: bool = False
 
     def __post_init__(self) -> None:
         if self.parallel < 1:
@@ -83,7 +89,8 @@ class SweepOptions:
         budget = self.budget
         if budget is None and self.point_timeout is not None:
             budget = PointBudget(wall_seconds=self.point_timeout)
-        return PointPolicy(budget=budget, journal=journal, store=store)
+        return PointPolicy(budget=budget, journal=journal, store=store,
+                           classify=self.classify)
 
 
 @dataclass(frozen=True)
@@ -99,6 +106,10 @@ class PointPolicy:
     ``journal``     open checkpoint journal consulted before simulating and
                     recorded to after
     ``store``       open persistent point store, likewise
+    ``classify``    attach shadow miss classifiers to the exact simulation;
+                    the point is then simulated in full (extrapolation
+                    reason ``classifiers``) and, under a live registry,
+                    records ``repro.sim.miss_class``/``miss_array``
     ==============  ========================================================
 
     The default policy simulates the point exactly under the default
@@ -110,9 +121,10 @@ class PointPolicy:
     budget: PointBudget | None = None
     journal: "CheckpointJournal | None" = None
     store: "PointStore | None" = None
+    classify: bool = False
 
     def __post_init__(self) -> None:
-        if self.analytic and self.budget is not None:
+        if self.analytic and (self.budget is not None or self.classify):
             raise ConfigurationError(
-                "an analytic policy simulates nothing: a budget does not "
-                "apply")
+                "an analytic policy simulates nothing: a budget or "
+                "classification does not apply")

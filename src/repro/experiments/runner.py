@@ -165,7 +165,8 @@ def _tile_count(kernel, sel: SelectionResult, schedule: Schedule) -> int:
 
 
 def _record_sim_metrics(hier: CacheHierarchy, stats, seconds: float) -> None:
-    """Per-level access/miss counters plus the 3C classification."""
+    """Per-level access/miss counters, plus the 3C classification when
+    the levels carry classifiers."""
     metrics.observe("repro.sim.point_seconds", seconds)
     for (name, st), cls in zip(stats.levels, hier.classifiers):
         metrics.inc("repro.sim.accesses", st.accesses, level=name)
@@ -183,7 +184,8 @@ def _record_sim_metrics(hier: CacheHierarchy, stats, seconds: float) -> None:
 def _simulate_exact(kernel_name: str, strategy: str, n: int,
                     cfg: ExperimentConfig,
                     budget: PointBudget | None = None,
-                    clock=time.monotonic) -> PointResult:
+                    clock=time.monotonic,
+                    classify: bool = False) -> PointResult:
     """One exact trace simulation, optionally under a budget's deadline.
 
     The point runs through
@@ -194,9 +196,11 @@ def _simulate_exact(kernel_name: str, strategy: str, n: int,
     untiled sweep, classified) is simulated in full; the statistics are
     identical either way, whatever the levels' associativity.
 
-    While a metrics registry is live (``--metrics``) the levels carry
-    shadow miss classifiers, and classification takes precedence: the
-    point is simulated in full (reason ``classifiers``).
+    ``classify`` (the policy's, ``--classify``) alone attaches shadow
+    miss classifiers, and classification takes precedence: the point is
+    simulated in full (reason ``classifiers``). A live metrics registry
+    decides only what is recorded, never what is simulated, so a point
+    under ``--metrics`` or ``--run-dir`` runs what a plain one runs.
     """
     faults.tick("simulate")
     kern = _kernel_cls(kernel_name)(n, cfg.nk, elem_bytes=cfg.elem_bytes)
@@ -208,9 +212,9 @@ def _simulate_exact(kernel_name: str, strategy: str, n: int,
                 if budget is not None and budget.bounded else None)
     hier = CacheHierarchy(cfg.levels)
     inter_pad = cfg.cs if cfg.inter_pad else None
-    if metrics.enabled():
-        # Shadow-LRU miss classification is a Python-loop cost, so it is
-        # attached only when a registry is collecting (``--metrics``).
+    if classify:
+        # Shadow-LRU miss classification is a Python-loop cost and keeps
+        # the point off the segment templates, so it runs only on request.
         specs = kern.specs(sel.di_p, sel.dj_p, inter_pad_cache=inter_pad)
         ranges = [(s.name, s.base * s.elem_bytes, s.end * s.elem_bytes)
                   for s in specs.values()]
@@ -497,22 +501,24 @@ def _store_lookup(store: PointStore, fingerprint_: str,
 # ----------------------------------------------------------------------
 
 def _compute_point(kernel: str, strategy: str, n: int,
-                   cfg: ExperimentConfig,
-                   budget: PointBudget | None) -> PointResult:
+                   cfg: ExperimentConfig, budget: PointBudget | None,
+                   classify: bool) -> PointResult:
     """Exact simulation under ``budget``, degrading to the model.
 
     Every exact point's computation, in the calling process
     (:func:`run_point`) or in a pool worker (:func:`_pool_point_task`):
     retryable failures retry with backoff; budget exhaustion (or
     exhausted retries) degrades to the analytic miss model with
-    ``degraded=True``. ``None`` means the default budget.
+    ``degraded=True``. ``None`` means the default budget. ``budget``
+    and ``classify`` are the point policy's.
     """
     budget = budget or PointBudget()
     clock = faults.active_clock()
     try:
         return run_with_retries(
             lambda: _simulate_exact(kernel, strategy, n, cfg,
-                                    budget=budget, clock=clock),
+                                    budget=budget, clock=clock,
+                                    classify=classify),
             budget, sleep=faults.active_sleep())
     except (BudgetExceededError, RetryableError) as exc:
         log.warning("point %s/%s/N=%d degraded to the analytic model "
@@ -534,7 +540,8 @@ def run_point(kernel: str, strategy: str, n: int,
     has it (journal, then store), otherwise computed here and recorded
     back. Every other policy computes the point in this process as one
     ``point`` span: ``analytic=True`` from the miss model, otherwise
-    by exact simulation under the policy's budget. See
+    by exact simulation under the policy's budget, classified when the
+    policy says ``classify``. See
     :class:`~repro.experiments.options.PointPolicy`.
     """
     cfg = cfg or ExperimentConfig()
@@ -548,7 +555,8 @@ def run_point(kernel: str, strategy: str, n: int,
             result = _analytic_point(kernel, strategy, n, cfg)
             sp["source"] = "analytic"
         else:
-            result = _compute_point(kernel, strategy, n, cfg, policy.budget)
+            result = _compute_point(kernel, strategy, n, cfg, policy.budget,
+                                    policy.classify)
         sp["degraded"] = result.degraded
         metrics.inc("repro.runner.points",
                     mode="analytic" if result.degraded else "exact")
@@ -640,7 +648,8 @@ def _run_points(keys: list[tuple], cfg: ExperimentConfig,
                  f"{point_timeout}s" if point_timeout else "none")
         outcomes = run_supervised(
             _pool_point_task,
-            [(key, (*key, cfg, policy.budget)) for key in misses],
+            [(key, (*key, cfg, policy.budget, policy.classify))
+             for key in misses],
             PoolPolicy(workers=workers, point_timeout=point_timeout,
                        max_retries=retry.max_retries,
                        backoff_seconds=retry.backoff_seconds),

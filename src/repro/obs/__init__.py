@@ -7,9 +7,10 @@ Three cooperating pieces, all disabled (near-zero-cost) by default:
   sink with atomic writes; resilience messages (retries, checkpoint
   resumes, degradations) land in the same timeline.
 * :mod:`~repro.obs.metrics` — a process-local registry of counters /
-  gauges / histograms: per-level cold/conflict/capacity miss
-  breakdowns, trace volume, Euc3D/Pad search effort, point sources.
-  Metric names are a stable interface (see the module docstring).
+  gauges / histograms: per-level accesses and misses (with
+  cold/conflict/capacity breakdowns under ``--classify``), trace
+  volume, Euc3D/Pad search effort, point sources. Metric names are a
+  stable interface (see the module docstring).
 * :mod:`~repro.obs.profile` — opt-in per-phase wall-clock and
   ``tracemalloc`` peak-memory capture attached to span-end events.
 
@@ -18,7 +19,10 @@ The CLI wires them up per run (``--log-json``, ``--metrics``,
 (:mod:`~repro.obs.report`) renders the artifacts afterwards. Library
 code only ever calls the cheap module-level hooks
 (``events.emit``/``events.span``/``metrics.inc``), so importing
-:mod:`repro` never configures logging or starts tracing.
+:mod:`repro` never configures logging or starts tracing. Observing a
+run records it without changing it: a live bus or registry decides
+what is written, never what is simulated (3C classification, which
+does change the simulation, is its own request, ``--classify``).
 """
 
 from __future__ import annotations

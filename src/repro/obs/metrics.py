@@ -56,7 +56,9 @@ name                                   type        labels
                                                    templates)
 =====================================  ==========  =========================
 
-Per-level ``cold + conflict + capacity`` miss counts sum exactly to
+``repro.sim.miss_class`` and ``repro.sim.miss_array`` are recorded
+only for points classified under ``--classify``; there, per-level
+``cold + conflict + capacity`` miss counts sum exactly to
 ``repro.sim.misses`` for the same level (see
 :mod:`repro.cache.classify`); tests and the acceptance harness rely on
 that identity.

@@ -321,7 +321,8 @@ def format_report(s: RunSummary) -> str:
         parts.append("")
         parts.append(format_table(
             ["Level", *MISS_CLASSES, "total"], rows,
-            title="Miss classification (all simulated points)"))
+            title="Miss classification (points simulated under "
+                  "--classify)"))
 
     if s.miss_arrays:
         rows = [[lvl, arr, cnt]

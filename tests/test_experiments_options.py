@@ -53,6 +53,8 @@ class TestSweepOptions:
                            point_timeout=2.5).point_policy()
         assert pol.budget == PointBudget(max_refs=10)
         assert SweepOptions().point_policy() == PointPolicy()
+        assert SweepOptions(classify=True).point_policy() == \
+            PointPolicy(classify=True)
 
 
 class TestPointPolicy:
@@ -63,6 +65,8 @@ class TestPointPolicy:
     def test_analytic_excludes_simulation_knobs(self):
         with pytest.raises(ConfigurationError, match="analytic"):
             PointPolicy(analytic=True, budget=PointBudget())
+        with pytest.raises(ConfigurationError, match="analytic"):
+            PointPolicy(analytic=True, classify=True)
 
 
 class TestLegacyAPIRemoved:
@@ -97,9 +101,12 @@ class TestLegacyAPIRemoved:
         # adoption: each option set nothing a statistic depends on.
         sweep_fields = {f.name for f in dataclasses.fields(SweepOptions)}
         policy_fields = {f.name for f in dataclasses.fields(PointPolicy)}
+        # ``classify`` is the one option since: 3C classification is
+        # its own request, not a side effect of collecting metrics.
         assert sweep_fields == {"checkpoint", "budget", "parallel",
-                                "point_timeout", "point_cache"}
-        assert policy_fields == {"analytic", "budget", "journal", "store"}
+                                "point_timeout", "point_cache", "classify"}
+        assert policy_fields == {"analytic", "budget", "journal", "store",
+                                 "classify"}
         assert not hasattr(PointPolicy, "plain")
         for name in ("chunk_size", "resume_force"):
             with pytest.raises(TypeError):

@@ -483,20 +483,44 @@ def test_extrapolated_point_is_one_engine_run():
         assert reg.counter_total("repro.cache.engine_runs") == 1
 
 
-def test_metrics_classify_instead_of_extrapolating():
-    """Under ``--metrics`` classification takes precedence: an eligible
-    point is simulated in full (reason ``classifiers``) and its 3C
-    counts sum to its misses."""
-    with metrics.collect() as reg:
-        p = run_point("JACOBI", "Orig", 64, CFG)
-    assert not p.extrapolated
-    rows = reg.snapshot()["counters"]
-    reasons = {r["labels"]["reason"] for r in rows
-               if r["name"] == "repro.cache.extrapolation"}
-    assert reasons == {"classifiers"}
-    assert reg.counter_total("repro.sim.misses") > 0
-    assert reg.counter_total("repro.sim.miss_class") == \
-        reg.counter_total("repro.sim.misses")
+def _extrapolation_reasons(reg):
+    return {r["labels"]["reason"] for r in reg.snapshot()["counters"]
+            if r["name"] == "repro.cache.extrapolation"}
+
+
+def test_metrics_record_without_changing_the_simulation():
+    """A live registry records a point without changing what runs: it
+    costs segments from templates as a plain run does, records its
+    per-level misses, and classifies nothing."""
     plain = run_point("JACOBI", "Orig", 64, CFG)
     assert plain.extrapolated
-    assert (p.l1_misses, p.l2_misses) == (plain.l1_misses, plain.l2_misses)
+    with metrics.collect() as reg:
+        p = run_point("JACOBI", "Orig", 64, CFG)
+    assert p == plain
+    assert _extrapolation_reasons(reg) == {"none"}
+    assert reg.counter_total("repro.sim.misses") == \
+        plain.l1_misses + plain.l2_misses
+    assert reg.counter_total("repro.sim.miss_class") == 0
+    assert reg.counter_total("repro.sim.miss_array") == 0
+
+
+def test_classify_simulates_in_full_and_sums_to_misses():
+    """Under ``classify`` classification takes precedence: an eligible
+    point is simulated in full (reason ``classifiers``), its 3C counts
+    sum to its misses per level, and its statistics are the plain
+    run's."""
+    with metrics.collect() as reg:
+        p = run_point("JACOBI", "Orig", 64, CFG,
+                      policy=PointPolicy(classify=True))
+    assert not p.extrapolated
+    assert _extrapolation_reasons(reg) == {"classifiers"}
+    misses, classified = {}, {}
+    for row in reg.snapshot()["counters"]:
+        level = row["labels"].get("level")
+        if row["name"] == "repro.sim.misses":
+            misses[level] = row["value"]
+        elif row["name"] == "repro.sim.miss_class":
+            classified[level] = classified.get(level, 0) + row["value"]
+    assert set(misses) == {"L1", "L2"} and classified == misses
+    plain = run_point("JACOBI", "Orig", 64, CFG)
+    assert dataclasses.replace(p, extrapolated=True) == plain

@@ -11,12 +11,12 @@ from repro.obs.report import (format_report, read_events, read_metrics,
 
 @pytest.fixture(scope="module")
 def artifacts(tmp_path_factory):
-    """One instrumented tiny table3 run, read by every test that asks;
-    yields (events_path, metrics_path)."""
+    """One instrumented, classified tiny table3 run, read by every test
+    that asks; yields (events_path, metrics_path)."""
     tmp_path = tmp_path_factory.mktemp("instrumented")
     ev = tmp_path / "run.jsonl"
     mx = tmp_path / "metrics.json"
-    rc = main(["table3", "--n", "8",
+    rc = main(["table3", "--n", "8", "--classify",
                "--log-json", str(ev), "--metrics", str(mx), "--profile"])
     assert rc == 0
     return ev, mx
@@ -80,9 +80,65 @@ class TestInstrumentedRun:
         assert set(s.miss_classes) == {"L1", "L2"}
 
 
+class TestObservationKeepsTheRun:
+    """Observing a run records it without changing it: only
+    ``--classify`` takes points off the segment templates."""
+
+    @pytest.fixture(scope="class")
+    def plain_csv(self, tmp_path_factory):
+        csv = tmp_path_factory.mktemp("plain") / "points.csv"
+        assert main(["table3", "--n", "40", "--csv", str(csv)]) == 0
+        return csv.read_bytes()
+
+    @pytest.mark.parametrize("flags", [
+        ["--metrics", "{tmp}/metrics.json"],
+        ["--run-dir", "{tmp}/ledger"],
+        ["--run-dir", "{tmp}/ledger", "--parallel", "2"],
+    ], ids=["metrics", "run-dir", "run-dir-parallel"])
+    def test_observed_csv_is_the_plain_csv(self, plain_csv, tmp_path,
+                                           flags):
+        csv = tmp_path / "points.csv"
+        assert main(["table3", "--n", "40", "--csv", str(csv),
+                     *(f.format(tmp=tmp_path) for f in flags)]) == 0
+        assert csv.read_bytes() == plain_csv
+        extrapolated = [line.rsplit(b",", 1)[1]
+                        for line in plain_csv.splitlines()[1:]]
+        assert b"1" in extrapolated  # templates ran in both
+
+    def test_obs_report_without_classify(self, tmp_path, capsys):
+        ev, mx = tmp_path / "run.jsonl", tmp_path / "metrics.json"
+        assert main(["table3", "--n", "8", "--log-json", str(ev),
+                     "--metrics", str(mx)]) == 0
+        capsys.readouterr()
+        assert main(["obs-report", str(ev), "--metrics", str(mx)]) == 0
+        out = capsys.readouterr().out
+        assert "points: 18 (18 exact simulations" in out
+        assert "Miss classification" not in out
+        assert "Misses by array" not in out
+        s = summarize(read_events(ev), read_metrics(mx))
+        assert not s.miss_classes and not s.miss_arrays
+        assert s.extrapolation_refs_skipped > 0
+        assert (f"of references costed from templates "
+                f"({s.extrapolation_refs_skipped} of "
+                f"{s.extrapolation_refs})") in out
+
+
 class TestUsageErrors:
     def test_profile_requires_log_json(self):
         assert main(["table3", "--n", "8", "--profile"]) == 2
+
+    @pytest.mark.parametrize("argv", [
+        ["table3", "--n", "8", "--classify"],
+        ["simulate", "--n", "8", "--classify", "--log-json", "x.jsonl"],
+        ["figures", "--n", "8", "--classify"],
+        ["lattice", "--n", "8", "--classify"],
+    ], ids=["table3", "simulate-log-json", "figures", "lattice"])
+    def test_classify_requires_metrics_or_run_dir(self, argv, tmp_path,
+                                                  monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        assert main(argv) == 2
+        assert "--classify" in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())  # refused before any work
 
     def test_obs_report_missing_file(self, tmp_path):
         assert main(["obs-report", str(tmp_path / "none.jsonl")]) == 2
@@ -213,7 +269,7 @@ class TestRunDir:
         led = tmp_path / "ledger"
         csv = tmp_path / "points.csv"
         rc = main(["table3", "--n", "8", "--run-dir", str(led),
-                   "--csv", str(csv)])
+                   "--classify", "--csv", str(csv)])
         assert rc == 0
         (run,) = led.iterdir()
         return run

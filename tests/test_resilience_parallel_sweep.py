@@ -271,7 +271,7 @@ class TestSerialParallelBookkeeping:
                                                            tiny_config)))
         return root
 
-    def _run(self, seeded, tmp_path, cfg, parallel):
+    def _run(self, seeded, tmp_path, cfg, parallel, classify):
         root = tmp_path / f"p{parallel}"
         shutil.copytree(seeded, root)
         sink = MemorySink()
@@ -279,7 +279,8 @@ class TestSerialParallelBookkeeping:
             res = sweep("JACOBI", self.STRATEGIES, SIZES, cfg,
                         options=SweepOptions(checkpoint=root / "j.jsonl",
                                              point_cache=root / "store",
-                                             parallel=parallel))
+                                             parallel=parallel,
+                                             classify=classify))
         modes = {c["labels"]["mode"]: c["value"]
                  for c in reg.snapshot()["counters"]
                  if c["name"] == "repro.runner.points"}
@@ -294,20 +295,30 @@ class TestSerialParallelBookkeeping:
         return (res, payloads, modes,
                 (s.points, s.journal_hits, s.degraded), sim)
 
+    @pytest.mark.parametrize("classify", [False, True],
+                             ids=["plain", "classify"])
     def test_serial_and_parallel_books_agree(self, seeded, tmp_path,
-                                             tiny_config):
-        serial = self._run(seeded, tmp_path, tiny_config, 1)
-        par = self._run(seeded, tmp_path, tiny_config, 2)
+                                             tiny_config, classify):
+        serial = self._run(seeded, tmp_path, tiny_config, 1, classify)
+        par = self._run(seeded, tmp_path, tiny_config, 2, classify)
+        # Results agree field by field, ``extrapolated`` included; the
+        # two computed points (Pad) cost segments from templates unless
+        # classify is on.
         assert par[0] == serial[0]
+        assert all(p.extrapolated != classify for p in serial[0]["Pad"])
         assert par[1] == serial[1] and len(serial[1]) == 6
         assert serial[2] == {"journal": 2, "store": 2, "exact": 2}
         assert par[2] == serial[2]
         assert serial[3] == (6, 2, 0)
         assert par[3] == serial[3]
         # Without a run directory the workers pipe their registries
-        # back: the two computed points' simulation and 3C counters
-        # reach the supervisor's registry as in the serial run.
+        # back: the two computed points' simulation counters (3C
+        # counters under classify) reach the supervisor's registry as
+        # in the serial run.
         assert serial[4] and par[4] == serial[4]
+        classes = {name for name, _ in serial[4]} & {
+            "repro.sim.miss_class", "repro.sim.miss_array"}
+        assert bool(classes) == classify
 
 
 class TestCheckPayloadRegressions:
